@@ -1,16 +1,14 @@
-"""Execution-engine shootout: closure-compiled vs tree-walking oracle.
+"""Execution-engine shootout: transpiled engine vs tree-walking oracle.
 
-Times all three engines end-to-end (``run_program`` wall clock, which
-for the compiled engine *includes* the closure-compilation step and for
-the transpiled engine the codegen-or-cache-hit step) on the three
-workloads with the largest dynamic op counts, reports ops/sec and the
-speedups, and asserts the tentpole contracts:
+Times both engines end-to-end (``run_program`` wall clock, which for the
+transpiled engine *includes* the codegen-or-cache-hit step; repeats
+after the first hit the codegen cache, matching the warm service path)
+on the three workloads with the largest dynamic op counts, reports
+ops/sec and the speedup, and asserts the contracts:
 
-* the compiled engine is at least ``MIN_SPEEDUP``x faster on mdg,
-* the transpiled engine is at least ``MIN_TRANSPILED_SPEEDUP``x the
-  compiled engine's ops/sec on mdg (repeats after the first hit the
-  codegen cache, matching the warm service path),
-* all engines produce bit-identical outputs and op counts.
+* the transpiled engine is at least ``MIN_SPEEDUP``x the tree oracle's
+  ops/sec on mdg,
+* both engines produce bit-identical outputs and op counts.
 
 Run standalone to (re)generate the committed baseline::
 
@@ -28,15 +26,14 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
-from repro.runtime import run_program
+from repro.runtime import ENGINE_NAMES, run_program
 from repro.workloads import get
 
 WORKLOADS = ("mdg", "flo88", "hydro2d")
-MIN_SPEEDUP = 2.0
-#: transpiled-over-compiled ops/sec contract on the plain-run path
-MIN_TRANSPILED_SPEEDUP = 10.0
+#: transpiled-over-tree ops/sec contract on the plain-run path
+MIN_SPEEDUP = 20.0
 #: repeats per engine; the best (minimum) time is kept
-REPEATS = {"tree": 2, "compiled": 3, "transpiled": 3}
+REPEATS = {"tree": 2, "transpiled": 3}
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
@@ -60,26 +57,21 @@ def run_bench(workloads=WORKLOADS) -> Dict:
     """Measure every workload under both engines; verify parity inline."""
     results: Dict[str, Dict] = {}
     for name in workloads:
-        tree = _time_engine(name, "tree")
-        comp = _time_engine(name, "compiled")
-        trans = _time_engine(name, "transpiled")
-        assert comp["ops"] == tree["ops"] == trans["ops"], (
+        timed = {engine: _time_engine(name, engine)
+                 for engine in ENGINE_NAMES}
+        tree, trans = timed["tree"], timed["transpiled"]
+        assert tree["ops"] == trans["ops"], (
             f"{name}: op-count drift tree={tree['ops']} "
-            f"compiled={comp['ops']} transpiled={trans['ops']}")
-        assert comp["outputs"] == tree["outputs"] == trans["outputs"], (
+            f"transpiled={trans['ops']}")
+        assert tree["outputs"] == trans["outputs"], (
             f"{name}: output drift between engines")
-        results[name] = {
-            "ops": tree["ops"],
-            "tree": {"seconds": round(tree["seconds"], 4),
-                     "ops_per_sec": round(tree["ops_per_sec"], 1)},
-            "compiled": {"seconds": round(comp["seconds"], 4),
-                         "ops_per_sec": round(comp["ops_per_sec"], 1)},
-            "transpiled": {"seconds": round(trans["seconds"], 4),
-                           "ops_per_sec": round(trans["ops_per_sec"], 1)},
-            "speedup": round(comp["ops_per_sec"] / tree["ops_per_sec"], 2),
-            "transpiled_speedup": round(
-                trans["ops_per_sec"] / comp["ops_per_sec"], 2),
-        }
+        results[name] = {"ops": tree["ops"]}
+        for engine, t in timed.items():
+            results[name][engine] = {
+                "seconds": round(t["seconds"], 4),
+                "ops_per_sec": round(t["ops_per_sec"], 1)}
+        results[name]["speedup"] = round(
+            trans["ops_per_sec"] / tree["ops_per_sec"], 2)
     return {
         "benchmark": "execution-engine shootout",
         "units": "interpreter ops per wall-clock second",
@@ -92,41 +84,21 @@ def run_bench(workloads=WORKLOADS) -> Dict:
 def _rows(report: Dict) -> List[List]:
     return [[name, r["ops"],
              f"{r['tree']['ops_per_sec'] / 1e6:.2f}M",
-             f"{r['compiled']['ops_per_sec'] / 1e6:.2f}M",
              f"{r['transpiled']['ops_per_sec'] / 1e6:.2f}M",
-             f"{r['speedup']:.2f}x",
-             f"{r['transpiled_speedup']:.2f}x"]
+             f"{r['speedup']:.2f}x"]
             for name, r in report["workloads"].items()]
-
-
-def test_compiled_engine_speedup(benchmark):
-    from conftest import once, print_table
-    report = once(benchmark, run_bench)
-    print_table("engine ops/sec (tree vs compiled vs transpiled)",
-                ["workload", "ops", "tree", "compiled", "transpiled",
-                 "comp/tree", "trans/comp"],
-                _rows(report))
-    for name, r in report["workloads"].items():
-        assert r["speedup"] > 1.0, f"{name}: compiled engine not faster"
-    assert report["workloads"]["mdg"]["speedup"] >= MIN_SPEEDUP, (
-        f"mdg speedup {report['workloads']['mdg']['speedup']} "
-        f"below the {MIN_SPEEDUP}x contract")
 
 
 def test_transpiled_engine_speedup(benchmark):
     from conftest import once, print_table
     report = once(benchmark, run_bench)
-    print_table("engine ops/sec (tree vs compiled vs transpiled)",
-                ["workload", "ops", "tree", "compiled", "transpiled",
-                 "comp/tree", "trans/comp"],
+    print_table("engine ops/sec (tree vs transpiled)",
+                ["workload", "ops", "tree", "transpiled", "trans/tree"],
                 _rows(report))
-    for name, r in report["workloads"].items():
-        assert r["transpiled_speedup"] > 1.0, (
-            f"{name}: transpiled engine not faster than compiled")
-    mdg = report["workloads"]["mdg"]["transpiled_speedup"]
-    assert mdg >= MIN_TRANSPILED_SPEEDUP, (
-        f"mdg transpiled/compiled speedup {mdg} below the "
-        f"{MIN_TRANSPILED_SPEEDUP}x contract")
+    mdg = report["workloads"]["mdg"]["speedup"]
+    assert mdg >= MIN_SPEEDUP, (
+        f"mdg transpiled/tree speedup {mdg} below the "
+        f"{MIN_SPEEDUP}x contract")
 
 
 def main() -> None:
@@ -137,13 +109,9 @@ def main() -> None:
     for name, r in report["workloads"].items():
         print(f"  {name:{width}s}  ops={r['ops']:>9}  "
               f"tree={r['tree']['ops_per_sec'] / 1e6:5.2f}M/s  "
-              f"compiled={r['compiled']['ops_per_sec'] / 1e6:5.2f}M/s  "
               f"transpiled={r['transpiled']['ops_per_sec'] / 1e6:5.2f}M/s  "
-              f"speedup={r['speedup']:.2f}x  "
-              f"transpiled_speedup={r['transpiled_speedup']:.2f}x")
+              f"speedup={r['speedup']:.2f}x")
     assert report["workloads"]["mdg"]["speedup"] >= MIN_SPEEDUP
-    assert report["workloads"]["mdg"]["transpiled_speedup"] >= \
-        MIN_TRANSPILED_SPEEDUP
 
 
 if __name__ == "__main__":

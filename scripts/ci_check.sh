@@ -7,13 +7,11 @@
 #   1. the tier-1 pytest suite (correctness, soundness fuzzing,
 #      service determinism, observability contracts),
 #   2. the performance gates (ops/sec vs the committed
-#      BENCH_engine.json, BENCH_tools.json, BENCH_parallel.json, and
-#      BENCH_incremental.json baselines; also enforces the compiled
-#      engine's 2x-over-tree contract, the transpiled engine's
-#      10x-over-compiled contract, the instrumented fast path's
-#      3x-over-tree-observer contract, warm incremental re-analysis's
-#      10x-over-cold-pipeline contract with bit parity, and — on hosts
-#      with >= 4 free cores — real parallel execution's
+#      BENCH_engine.json, BENCH_parallel.json, and
+#      BENCH_incremental.json baselines; also enforces the transpiled
+#      engine's 20x-over-tree contract on mdg, warm incremental
+#      re-analysis's 10x-over-cold-pipeline contract with bit parity,
+#      and — on hosts with >= 4 free cores — real parallel execution's
 #      1.5x-at-4-workers contract with bit-parity on every host),
 #   3. the end-to-end HTTP service smoke test (submit / poll /
 #      artifact / cache-repeat / metrics),
@@ -45,9 +43,8 @@ export PYTHONPATH=src
 echo "== [1/7] tier-1 test suite =="
 python -m pytest -x -q
 
-echo "== [2/7] performance gates (engine + transpiled + tools + parallel + incremental) =="
-python scripts/perf_check.py
-python scripts/perf_check.py --only transpiled
+echo "== [2/7] performance gates (engine + parallel + incremental) =="
+python scripts/perf_check.py --only engine
 python scripts/perf_check.py --only parallel
 python scripts/perf_check.py --only incremental
 

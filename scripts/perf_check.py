@@ -1,20 +1,17 @@
 #!/usr/bin/env python
-"""Performance regression gate for the engines and instrumented tools.
+"""Performance regression gate for the engines, backends and service.
 
 Re-runs ``benchmarks/bench_perf_engine.py`` (clean execution),
-``benchmarks/bench_perf_tools.py`` (instrumented profiler / dyndep),
 ``benchmarks/bench_perf_parallel.py`` (real multi-core execution), and
 ``benchmarks/bench_perf_incr.py`` (incremental re-analysis) and
 compares fresh numbers against the committed baselines
-``BENCH_engine.json``, ``BENCH_tools.json``, ``BENCH_parallel.json``,
-and ``BENCH_incremental.json``.  Fails (exit 1) when any path
-regresses by more than ``--tolerance`` (default 20%) on any workload,
-when the compiled engine drops below the 2x-over-tree contract, when
-the transpiled engine drops below the 10x-over-compiled contract, when
-an instrumented fast path drops below the 3x-over-tree-observer
-contract, when a warm-edit re-analysis drops below the 10x-over-cold-
-pipeline contract (or loses bit parity with a cold run), or — on hosts
-with >= 4 free cores — when real parallel execution drops below the
+``BENCH_engine.json``, ``BENCH_parallel.json``, and
+``BENCH_incremental.json``.  Fails (exit 1) when any path regresses by
+more than ``--tolerance`` (default 20%) on any workload, when the
+transpiled engine drops below the 20x-over-tree contract on mdg, when a
+warm-edit re-analysis drops below the 10x-over-cold-pipeline contract
+(or loses bit parity with a cold run), or — on hosts with >= 4 free
+cores — when real parallel execution drops below the
 1.5x-at-4-workers contract (bit-parity and the monotonic
 predicted-speedup shape gate on every host).  The ``service`` gate
 (``benchmarks/bench_perf_service.py`` vs ``BENCH_service.json``)
@@ -48,20 +45,18 @@ import bench_perf_engine  # noqa: E402
 import bench_perf_incr  # noqa: E402
 import bench_perf_parallel  # noqa: E402
 import bench_perf_service  # noqa: E402
-import bench_perf_tools  # noqa: E402
 
 
 def compare_engine(baseline: dict, fresh: dict, tolerance: float) -> list:
-    """Failure messages for every >tolerance ops/sec drop."""
+    """Failure messages for every >tolerance ops/sec drop, and for the
+    transpiled-over-tree contract on mdg."""
     failures = []
     for name, base in baseline["workloads"].items():
         cur = fresh["workloads"].get(name)
         if cur is None:
             failures.append(f"engine/{name}: missing from fresh run")
             continue
-        for engine in ("tree", "compiled", "transpiled"):
-            if engine not in base:
-                continue
+        for engine in ("tree", "transpiled"):
             was = base[engine]["ops_per_sec"]
             now = cur[engine]["ops_per_sec"]
             if now < was * (1.0 - tolerance):
@@ -69,75 +64,11 @@ def compare_engine(baseline: dict, fresh: dict, tolerance: float) -> list:
                     f"engine/{name}/{engine}: {now / 1e6:.2f}M ops/s is "
                     f"{(1 - now / was):.0%} below baseline "
                     f"{was / 1e6:.2f}M ops/s (tolerance {tolerance:.0%})")
-        if cur["speedup"] < bench_perf_engine.MIN_SPEEDUP:
-            failures.append(
-                f"engine/{name}: compiled/tree speedup "
-                f"{cur['speedup']:.2f}x below the "
-                f"{bench_perf_engine.MIN_SPEEDUP}x contract")
-    return failures
-
-
-def compare_transpiled(baseline: dict, fresh: dict,
-                       tolerance: float) -> list:
-    """Failure messages for the transpiled-engine gate."""
-    failures = []
-    for name, base in baseline["workloads"].items():
-        cur = fresh["workloads"].get(name)
-        if cur is None:
-            failures.append(f"transpiled/{name}: missing from fresh run")
-            continue
-        if "transpiled" in base:
-            was = base["transpiled"]["ops_per_sec"]
-            now = cur["transpiled"]["ops_per_sec"]
-            if now < was * (1.0 - tolerance):
-                failures.append(
-                    f"transpiled/{name}: {now / 1e6:.2f}M ops/s is "
-                    f"{(1 - now / was):.0%} below baseline "
-                    f"{was / 1e6:.2f}M ops/s (tolerance {tolerance:.0%})")
-        if cur["transpiled_speedup"] <= 1.0:
-            failures.append(
-                f"transpiled/{name}: not faster than the compiled "
-                f"engine ({cur['transpiled_speedup']:.2f}x)")
     mdg = fresh["workloads"].get("mdg")
-    if mdg and mdg["transpiled_speedup"] < \
-            bench_perf_engine.MIN_TRANSPILED_SPEEDUP:
+    if mdg and mdg["speedup"] < bench_perf_engine.MIN_SPEEDUP:
         failures.append(
-            f"transpiled/mdg: transpiled/compiled speedup "
-            f"{mdg['transpiled_speedup']:.2f}x below the "
-            f"{bench_perf_engine.MIN_TRANSPILED_SPEEDUP}x contract")
-    return failures
-
-
-def compare_tools(baseline: dict, fresh: dict, tolerance: float) -> list:
-    """Failure messages for the instrumented-tools gate."""
-    failures = []
-    for name, base_tools in baseline["workloads"].items():
-        cur_tools = fresh["workloads"].get(name)
-        if cur_tools is None:
-            failures.append(f"tools/{name}: missing from fresh run")
-            continue
-        for tool, base in base_tools.items():
-            cur = cur_tools.get(tool)
-            if cur is None:
-                failures.append(f"tools/{name}/{tool}: missing from "
-                                f"fresh run")
-                continue
-            for path in ("tree", "generic", "fast"):
-                was = base[path]["ops_per_sec"]
-                now = cur[path]["ops_per_sec"]
-                if now < was * (1.0 - tolerance):
-                    failures.append(
-                        f"tools/{name}/{tool}/{path}: "
-                        f"{now / 1e6:.2f}M ops/s is "
-                        f"{(1 - now / was):.0%} below baseline "
-                        f"{was / 1e6:.2f}M ops/s "
-                        f"(tolerance {tolerance:.0%})")
-            if cur["speedup_vs_tree"] < bench_perf_tools.MIN_SPEEDUP:
-                failures.append(
-                    f"tools/{name}/{tool}: fast path "
-                    f"{cur['speedup_vs_tree']:.2f}x over the tree "
-                    f"observer path, below the "
-                    f"{bench_perf_tools.MIN_SPEEDUP}x contract")
+            f"engine/mdg: transpiled/tree speedup {mdg['speedup']:.2f}x "
+            f"below the {bench_perf_engine.MIN_SPEEDUP}x contract")
     return failures
 
 
@@ -243,12 +174,9 @@ def compare_service(baseline: dict, fresh: dict, tolerance: float) -> list:
     return failures
 
 
-#: (label, bench module, printer, comparator); engine and transpiled
-#: share one measurement pass over bench_perf_engine
+#: (label, bench module, comparator)
 GATES = (
     ("engine", bench_perf_engine, compare_engine),
-    ("transpiled", bench_perf_engine, compare_transpiled),
-    ("tools", bench_perf_tools, compare_tools),
     ("parallel", bench_perf_parallel, compare_parallel),
     ("incremental", bench_perf_incr, compare_incremental),
     ("service", bench_perf_service, compare_service),
@@ -258,26 +186,8 @@ GATES = (
 def _print_engine(fresh: dict) -> None:
     for name, r in fresh["workloads"].items():
         print(f"{name:10s} tree={r['tree']['ops_per_sec'] / 1e6:5.2f}M/s  "
-              f"compiled={r['compiled']['ops_per_sec'] / 1e6:5.2f}M/s  "
-              f"speedup={r['speedup']:.2f}x")
-
-
-def _print_transpiled(fresh: dict) -> None:
-    for name, r in fresh["workloads"].items():
-        print(f"{name:10s} "
-              f"compiled={r['compiled']['ops_per_sec'] / 1e6:5.2f}M/s  "
               f"transpiled={r['transpiled']['ops_per_sec'] / 1e6:6.2f}M/s  "
-              f"speedup={r['transpiled_speedup']:.2f}x")
-
-
-def _print_tools(fresh: dict) -> None:
-    for name, tools in fresh["workloads"].items():
-        for tool, r in tools.items():
-            print(f"{name:10s} {tool:8s} "
-                  f"tree={r['tree']['ops_per_sec'] / 1e6:5.2f}M/s  "
-                  f"generic={r['generic']['ops_per_sec'] / 1e6:5.2f}M/s  "
-                  f"fast={r['fast']['ops_per_sec'] / 1e6:5.2f}M/s  "
-                  f"vs-tree={r['speedup_vs_tree']:.2f}x")
+              f"speedup={r['speedup']:.2f}x")
 
 
 def _print_parallel(fresh: dict) -> None:
@@ -314,8 +224,7 @@ def _print_service(fresh: dict) -> None:
           f"bit-identical={storm['bit_identical']}")
 
 
-PRINTERS = {"engine": _print_engine, "transpiled": _print_transpiled,
-            "tools": _print_tools, "parallel": _print_parallel,
+PRINTERS = {"engine": _print_engine, "parallel": _print_parallel,
             "incremental": _print_incremental,
             "service": _print_service}
 
@@ -325,32 +234,22 @@ def main(argv=None) -> int:
     ap.add_argument("--tolerance", type=float, default=0.20,
                     help="allowed fractional ops/sec drop (default 0.20)")
     ap.add_argument("--update", action="store_true",
-                    help="rewrite BENCH_engine.json and BENCH_tools.json "
-                         "from this run")
-    ap.add_argument("--only", choices=["engine", "transpiled", "tools",
-                                       "parallel", "incremental",
-                                       "service"],
+                    help="rewrite the gated baselines from this run")
+    ap.add_argument("--only", choices=[label for label, _, _ in GATES],
                     help="run a single gate")
     args = ap.parse_args(argv)
 
     failures = []
-    fresh_cache: dict = {}
-    written = set()
     for label, bench, comparator in GATES:
         if args.only and label != args.only:
             continue
         print(f"-- {label} gate --")
-        key = bench.__name__
-        if key not in fresh_cache:
-            fresh_cache[key] = bench.run_bench()
-        fresh = fresh_cache[key]
+        fresh = bench.run_bench()
         PRINTERS[label](fresh)
         if args.update or not bench.BASELINE_PATH.exists():
-            if key not in written:
-                bench.BASELINE_PATH.write_text(
-                    json.dumps(fresh, indent=2) + "\n")
-                print(f"baseline written: {bench.BASELINE_PATH}")
-                written.add(key)
+            bench.BASELINE_PATH.write_text(
+                json.dumps(fresh, indent=2) + "\n")
+            print(f"baseline written: {bench.BASELINE_PATH}")
             continue
         baseline = json.loads(bench.BASELINE_PATH.read_text())
         failures += comparator(baseline, fresh, args.tolerance)

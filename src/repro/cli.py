@@ -41,7 +41,8 @@ from .ir import build_program
 from .ir.program import Program
 from .parallelize import Parallelizer, annotate_source
 from .parallelize.memory_advisor import advise, report_lines
-from .runtime import MACHINES, execute_parallel, run_program
+from .runtime import (ENGINE_NAMES, MACHINES, engine_label,
+                      execute_parallel, run_program)
 from .viz import Codeview, render_slice
 
 
@@ -87,7 +88,6 @@ def _machine(name: str):
 
 
 def cmd_run(args) -> int:
-    from .runtime.compile_engine import engine_label
     program, inputs, _ = _load(args.target)
     if args.inputs:
         inputs = [float(x) for x in args.inputs]
@@ -191,7 +191,6 @@ def cmd_explore(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .runtime.compile_engine import engine_label
     from .runtime.profiler import profile_program
     program, inputs, _ = _load(args.target)
     if args.inputs:
@@ -213,7 +212,6 @@ def cmd_profile(args) -> int:
 
 
 def cmd_dyndep(args) -> int:
-    from .runtime.compile_engine import engine_label
     from .runtime.dyndep import analyze_dependences, reduction_stmt_ids
     program, inputs, _ = _load(args.target)
     if args.inputs:
@@ -524,6 +522,11 @@ def cmd_advise(args) -> int:
     return 0
 
 
+def _engine_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--engine", default=ENGINE_NAMES[0],
+                   choices=ENGINE_NAMES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -534,8 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a program")
     p.add_argument("target")
     p.add_argument("--inputs", nargs="*", help="values for READ statements")
-    p.add_argument("--engine", default="compiled",
-                   choices=["compiled", "transpiled", "tree"])
+    _engine_flag(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("parallelize", help="automatic parallelization plan")
@@ -574,8 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="per-loop execution profile")
     p.add_argument("target")
     p.add_argument("--inputs", nargs="*", help="values for READ statements")
-    p.add_argument("--engine", default="compiled",
-                   choices=["compiled", "transpiled", "tree"])
+    _engine_flag(p)
     p.add_argument("--machine", default="alphaserver",
                    choices=sorted(MACHINES))
     p.set_defaults(func=cmd_profile)
@@ -583,8 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dyndep", help="dynamic loop-carried dependences")
     p.add_argument("target")
     p.add_argument("--inputs", nargs="*", help="values for READ statements")
-    p.add_argument("--engine", default="compiled",
-                   choices=["compiled", "transpiled", "tree"])
+    _engine_flag(p)
     p.add_argument("--stride", type=int, default=1,
                    help="iteration sampling stride (section 2.5.2 "
                         "batch skipping; default: 1 = sample everything)")
@@ -634,8 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, help="process-pool size")
     p.add_argument("--sequential", action="store_true",
                    help="run inline in this process (no pool)")
-    p.add_argument("--engine", default="compiled",
-                   choices=["compiled", "transpiled", "tree"])
+    _engine_flag(p)
     p.add_argument("--machine", default="alphaserver",
                    choices=sorted(MACHINES))
     p.add_argument("--assertions", action="store_true",
@@ -656,8 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the export to a file")
     p.add_argument("--min-ms", type=float, default=0.0,
                    help="hide tree spans shorter than this (default: 0)")
-    p.add_argument("--engine", default="compiled",
-                   choices=["compiled", "transpiled", "tree"])
+    _engine_flag(p)
     p.add_argument("--machine", default="alphaserver",
                    choices=sorted(MACHINES))
     p.set_defaults(func=cmd_trace)

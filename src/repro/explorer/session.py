@@ -28,8 +28,9 @@ from ..parallelize.plan import DEP, ProgramPlan, VarPlan
 from ..runtime.dyndep import (DynamicDependenceAnalyzer,
                               analyze_dependences, reduction_stmt_ids)
 from ..runtime.machine import ALPHASERVER_8400, Machine
+from ..runtime.interpreter import engine_label
 from ..runtime.parallel_exec import (ParallelExecutionResult,
-                                     execute_parallel)
+                                     ParallelExecutor)
 from ..runtime.profiler import LoopProfiler, profile_program
 from ..slicing.slicer import SliceResult, Slicer
 from .assertions import AssertionChecker, CheckOutcome
@@ -159,7 +160,7 @@ class ExplorerSession:
                  use_liveness: bool = True,
                  liveness_variant: str = FULL,
                  max_ops: int = 500_000_000,
-                 engine: str = "compiled",
+                 engine: str = "transpiled",
                  proc_cache_source: Optional[str] = None):
         self.program = program
         self.machine = machine
@@ -182,11 +183,12 @@ class ExplorerSession:
         self.result: Optional[ParallelExecutionResult] = None
         self.assertions: List[Assertion] = []
         self._slicer: Optional[Slicer] = None
-        #: Which execution substrate each instrumented analysis actually
-        #: ran on (e.g. ``{"profile": "compiled/profile", "dyndep":
-        #: "compiled/dyndep"}``) — filled by :meth:`run_automatic` so
-        #: logs and service traces can tell the fast path from the
-        #: generic observer path.
+        #: Which execution substrate each of the three instrumented runs
+        #: actually ran on (``{"profile": "transpiled/profile", "dyndep":
+        #: "transpiled/dyndep", "parallel_exec": "transpiled/cost"}``, or
+        #: ``"tree"`` after a fallback) — filled by :meth:`run_automatic`
+        #: so logs and service traces can tell the generated path from
+        #: the observer path.
         self.engine_labels: Dict[str, str] = {}
 
     # -- phase 1: automatic parallelization + execution analysis -------------
@@ -197,7 +199,6 @@ class ExplorerSession:
             self.parallelizer = self._build_parallelizer()
             self.plan = self.parallelizer.plan()
             sp.tag(parallel_loops=len(self.plan.parallel_loops()))
-        from ..runtime.compile_engine import engine_label
         self.profiler = profile_program(self.program, self.inputs,
                                         max_ops=self.max_ops,
                                         engine=self.engine)
@@ -216,12 +217,15 @@ class ExplorerSession:
             sp.tag(targets=len(self.guru.targets()))
         with tracer.span("parallel_exec",
                          machine=self.machine.name) as sp:
-            self.result = execute_parallel(self.program, self.plan,
-                                           self.machine,
-                                           inputs=self.inputs,
-                                           max_ops=self.max_ops,
-                                           engine=self.engine)
-            sp.tag(speedup=round(self.result.speedup, 4))
+            executor = ParallelExecutor(self.program, self.plan,
+                                        self.machine, inputs=self.inputs,
+                                        max_ops=self.max_ops,
+                                        engine=self.engine)
+            self.result = executor.run()
+            self.engine_labels["parallel_exec"] = engine_label(
+                executor.interp)
+            sp.tag(speedup=round(self.result.speedup, 4),
+                   engine_variant=self.engine_labels["parallel_exec"])
         return self.result
 
     def _build_parallelizer(self) -> Parallelizer:

@@ -69,6 +69,11 @@ class Program:
         self.commons: Dict[str, CommonBlock] = {}
         self.main: Optional[str] = None
         self.source_text: str = ""
+        #: Set by transforms that rewrite the IR in place (array
+        #: contraction, common-block splitting): the program no longer
+        #: is what ``source_text`` says, so nothing derived from it may
+        #: be cached under the text's hash.
+        self.transformed = False
         self._stmt_index: Dict[int, Statement] = {}
         self._loop_by_name: Dict[str, LoopStmt] = {}
 

@@ -158,6 +158,7 @@ def split_common_blocks(program: Program, blocks: List[str]) -> None:
             groups.setdefault(sig, []).append(view)
         if len(groups) <= 1:
             continue
+        program.transformed = True
         del program.commons[bname]
         for k, (sig, views) in enumerate(sorted(groups.items(),
                                                 key=lambda kv: kv[0])):

@@ -216,6 +216,7 @@ def contract_array(program: Program, proc: Procedure, sym: Symbol,
     for stmt in proc.statements():
         _rewrite_stmt_refs(stmt, sym, keep)
     sym.dims = [sym.dims[k] for k in keep]
+    program.transformed = True
 
 
 def _rewrite_stmt_refs(stmt: Statement, sym: Symbol, keep: List[int]

@@ -1,32 +1,28 @@
 """Dynamic substrate: execution engines, analyzers, machine simulation.
 
-Three execution engines share one semantics, ordered by speed:
+Two execution engines share one semantics:
 
-* :class:`TranspiledEngine` (``"transpiled"``) — generates plain Python
-  source from the IR and runs it, the fastest substrate; instrumentation
-  is injected at codegen time and unsupported observer configurations
-  fall back to the closure engine automatically,
-* :class:`CompiledEngine` (``"compiled"``, the default) — lowers the IR
-  to nested Python closures,
-* :class:`Interpreter` (``"tree"``) — the tree-walking reference oracle.
+* :class:`TranspiledEngine` (``"transpiled"``, the default) — generates
+  plain Python source from the IR and runs it; the instrumented runs
+  (loop profile, dynamic dependences, simulated-multiprocessor cost
+  accounting) are codegen-time variants of the same generator, and
+  observer configurations it cannot express fall back to the oracle,
+* :class:`Interpreter` (``"tree"``) — the tree-walking reference oracle,
+  instrumented through the :class:`Observer` protocol.
 
-All three produce bit-identical outputs, op counts, COMMON memory and
+Both produce bit-identical outputs, op counts, COMMON memory and
 analyzer state, and raise the same :class:`OpsBudgetExceeded` on budget
 exhaustion.  Every entry point taking an ``engine=`` keyword accepts
-``"transpiled"``, ``"compiled"`` or ``"tree"``;
-:func:`~repro.runtime.compile_engine.engine_label` reports what actually
-ran (e.g. ``"transpiled/profile"`` or a fallback's ``"compiled/full"``).
+exactly :data:`ENGINE_NAMES`; :func:`engine_label` reports what actually
+ran (``"transpiled/<plain|profile|dyndep|cost>"`` or ``"tree"``).
 """
 
-from .compile_engine import (CompiledEngine, CompiledProgram,
-                             compile_closures, engine_label, make_engine,
-                             select_variant, VARIANT_DYNDEP, VARIANT_FULL,
-                             VARIANT_LOOPS, VARIANT_NONE, VARIANT_PROFILE)
 from .dyndep import (DynamicDependenceAnalyzer, analyze_dependences,
                      reduction_stmt_ids)
-from .interpreter import (BINOPS, INTRINSICS, Interpreter, Observer,
-                          OpsBudgetExceeded, RuntimeErrorInProgram,
-                          budget_error, run_program)
+from .interpreter import (BINOPS, ENGINE_NAMES, INTRINSICS, Interpreter,
+                          Observer, OpsBudgetExceeded,
+                          RuntimeErrorInProgram, budget_error,
+                          engine_label, make_engine, run_program)
 from .machine import (ALPHASERVER_8400, MACHINES, SGI_CHALLENGE, SGI_ORIGIN,
                       Machine, with_processors)
 from .parallel_exec import (ATOMIC, MINIMIZED, NAIVE, STAGGERED, TREE,
@@ -39,13 +35,10 @@ from .transpile import (TranspiledEngine, codegen_cache_stats,
 from .values import ArrayView, Buffer
 
 __all__ = [
-    "CompiledEngine", "CompiledProgram", "compile_closures", "engine_label",
-    "make_engine", "select_variant", "VARIANT_DYNDEP", "VARIANT_FULL",
-    "VARIANT_LOOPS", "VARIANT_NONE", "VARIANT_PROFILE",
     "DynamicDependenceAnalyzer", "analyze_dependences", "reduction_stmt_ids",
-    "BINOPS", "INTRINSICS",
+    "BINOPS", "ENGINE_NAMES", "INTRINSICS",
     "Interpreter", "Observer", "OpsBudgetExceeded", "RuntimeErrorInProgram",
-    "budget_error", "run_program",
+    "budget_error", "engine_label", "make_engine", "run_program",
     "ALPHASERVER_8400", "MACHINES", "SGI_CHALLENGE", "SGI_ORIGIN", "Machine",
     "with_processors",
     "ATOMIC", "MINIMIZED", "NAIVE", "STAGGERED", "TREE",

@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.program import Program
 from ..ir.statements import LoopStmt, Statement
-from .interpreter import Interpreter, Observer
+from .interpreter import (Interpreter, Observer, engine_label,
+                          make_engine)
 from .values import Buffer
 
 
@@ -190,22 +191,21 @@ def analyze_dependences(program: Program, inputs=(),
                         skip_stmt_ids: Optional[Set[int]] = None,
                         sample_stride: int = 1,
                         max_ops: int = 500_000_000,
-                        engine: str = "compiled"
+                        engine: str = "transpiled"
                         ) -> DynamicDependenceAnalyzer:
     """Run one instrumented execution and return the analyzer.
 
     ``engine`` selects the execution substrate (see
-    :func:`repro.runtime.interpreter.run_program`).  Under the compiled
-    engine a lone fresh analyzer is compiled *into* the engine
-    (``VARIANT_DYNDEP``): flat per-buffer shadow memory, cached
-    activation-cell snapshots, a hoisted sampling flag, and compile-time
-    skip sets replace the per-access callback protocol — results stay
+    :func:`repro.runtime.interpreter.make_engine`).  The transpiled
+    engine emits the analyzer *into* the generated code (its ``dyndep``
+    variant): flat per-buffer shadow memory, cached activation-cell
+    snapshots, a hoisted sampling flag, and compile-time skip sets
+    replace the per-access callback protocol — results stay
     bit-identical to this observer running on the tree-walking oracle.
     The span is named ``instrument.dyndep`` so traces separate
     instrumented runs from clean execution; its ``engine_variant`` tag
     records which path ran."""
     from ..obs import get_tracer
-    from .compile_engine import engine_label, make_engine
     with get_tracer().span("instrument.dyndep", program=program.name,
                            engine=engine, stride=sample_stride) as sp:
         analyzer = DynamicDependenceAnalyzer(skip_stmt_ids, sample_stride)

@@ -36,7 +36,7 @@ class OpsBudgetExceeded(RuntimeErrorInProgram):
     """The operation budget (``max_ops``) was exhausted.
 
     Raised identically by the tree-walking interpreter and the
-    closure-compiled engine (same type, same message for the same
+    transpiled engine (same type, same message for the same
     ``max_ops``), so budget exhaustion is a *deterministic, structured*
     outcome the service layer can classify — not a raw exception string
     that differs per engine.  Subclasses :class:`RuntimeErrorInProgram`
@@ -122,10 +122,16 @@ class Interpreter:
         Abort knob against runaway loops.
     """
 
+    #: What :func:`engine_label` reports for this engine.
+    label = "tree"
+
     def __init__(self, program: Program, inputs: Sequence[float] = (),
                  observers: Sequence[Observer] = (),
                  max_ops: int = 500_000_000):
         self.program = program
+        #: Set by the transpiled engine when it delegates here: why the
+        #: generator could not run this job (tagged on the span).
+        self.fallback: Optional[str] = None
         self.inputs = list(inputs)
         self._input_pos = 0
         self.observers = list(observers)
@@ -152,6 +158,8 @@ class Interpreter:
             except _Return:
                 pass
             sp.tag(ops=self.ops, observers=len(self.observers))
+            if self.fallback is not None:
+                sp.tag(fallback=self.fallback)
         return self
 
     # -- frames ------------------------------------------------------------
@@ -442,9 +450,8 @@ def _sign(a, b):
     return abs(a) if b >= 0 else -abs(a)
 
 
-#: Binary operator dispatch, shared by the tree-walking interpreter and the
-#: closure-compiling engine (``compile_engine.py``).  ``and``/``or`` are NOT
-#: here: they short-circuit and each engine sequences them itself.
+#: Binary operator dispatch.  ``and``/``or`` are NOT here: they
+#: short-circuit and ``_eval`` sequences them itself.
 BINOPS: Dict[str, Callable] = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
@@ -459,8 +466,7 @@ BINOPS: Dict[str, Callable] = {
     "/=": lambda a, b: a != b,
 }
 
-#: Intrinsic dispatch (callable over the evaluated argument list), shared by
-#: both execution engines.
+#: Intrinsic dispatch (callable over the evaluated argument list).
 INTRINSICS: Dict[str, Callable[[List], object]] = {
     "min": lambda args: min(args),
     "max": lambda args: max(args),
@@ -491,40 +497,43 @@ def _intrinsic(name: str, args: List):
     return fn(args)
 
 
-#: Engine selector aliases accepted by :func:`run_program` and friends.
-TREE_ENGINE_NAMES = ("tree", "interp", "interpreter", "oracle")
-COMPILED_ENGINE_NAMES = ("compiled", "closure")
-TRANSPILED_ENGINE_NAMES = ("transpiled", "codegen")
+#: The execution engines every ``engine=`` keyword accepts.
+ENGINE_NAMES = ("transpiled", "tree")
+
+
+def make_engine(program: Program, inputs: Sequence[float] = (),
+                observers: Sequence[Observer] = (),
+                max_ops: int = 500_000_000, engine: str = "transpiled"):
+    """Build (don't run) the selected execution engine:
+
+    * ``"transpiled"`` (default) — the code-generating engine
+      (:mod:`repro.runtime.transpile`): the program is emitted as plain
+      Python source, compiled by CPython, and cached; observers are
+      reproduced by codegen-time instrumentation, and configurations
+      the generator cannot express run on ``"tree"`` transparently,
+    * ``"tree"`` — this module's tree-walking :class:`Interpreter`, the
+      reference oracle (exact op-count, output and observer-state parity
+      is enforced by the differential tests).
+    """
+    if engine == "transpiled":
+        from .transpile import TranspiledEngine
+        return TranspiledEngine(program, inputs, observers, max_ops)
+    if engine == "tree":
+        return Interpreter(program, inputs, observers, max_ops)
+    raise ValueError(
+        f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}")
+
+
+def engine_label(engine) -> str:
+    """What actually ran: ``"tree"`` for the oracle (including a
+    transpiled engine that fell back to it) or ``"transpiled/<variant>"``
+    (call after ``run()`` — the variant is chosen at run start)."""
+    return engine.label
 
 
 def run_program(program: Program, inputs: Sequence[float] = (),
                 observers: Sequence[Observer] = (),
-                max_ops: int = 500_000_000, engine: str = "compiled"):
-    """Execute ``program`` and return the finished engine.
-
-    ``engine`` selects the execution substrate:
-
-    * ``"compiled"`` (default) — the closure-compiling engine
-      (:mod:`repro.runtime.compile_engine`): one compile pass lowers the IR
-      to nested Python closures with precomputed frame slots and
-      observer-specialized fast paths,
-    * ``"transpiled"`` — the code-generating engine
-      (:mod:`repro.runtime.transpile`): the program is emitted as plain
-      Python source, compiled by CPython, and cached; observer
-      configurations the generator cannot express fall back to
-      ``"compiled"`` transparently,
-    * ``"tree"`` — this module's tree-walking :class:`Interpreter`, kept as
-      the reference oracle (exact op-count and output parity is enforced by
-      the differential tests).
-    """
-    if engine in COMPILED_ENGINE_NAMES:
-        from .compile_engine import CompiledEngine
-        return CompiledEngine(program, inputs, observers, max_ops).run()
-    if engine in TRANSPILED_ENGINE_NAMES:
-        from .transpile import TranspiledEngine
-        return TranspiledEngine(program, inputs, observers, max_ops).run()
-    if engine in TREE_ENGINE_NAMES:
-        return Interpreter(program, inputs, observers, max_ops).run()
-    raise ValueError(
-        f"unknown engine {engine!r}; expected one of "
-        f"{COMPILED_ENGINE_NAMES + TRANSPILED_ENGINE_NAMES + TREE_ENGINE_NAMES}")
+                max_ops: int = 500_000_000, engine: str = "transpiled"):
+    """Execute ``program`` on ``engine`` (see :func:`make_engine`) and
+    return the finished engine."""
+    return make_engine(program, inputs, observers, max_ops, engine).run()

@@ -997,7 +997,7 @@ def load_parallel_module(program: Program, plan: ProgramPlan
     (source hash, plan signature, codegen version)."""
     src = program.source_text or ""
     key = None
-    if src:
+    if src and not program.transformed:
         digest = hashlib.sha256(src.encode("utf-8")).hexdigest()
         key = (digest, _plan_signature(plan), CODEGEN_VERSION)
         cached = _par_memo.get(key)

@@ -33,7 +33,8 @@ from ..ir.program import Program
 from ..ir.statements import LoopStmt, Statement
 from ..parallelize.plan import (PRIVATE, PRIVATE_FINAL, PRIVATE_USER,
                                 REDUCTION, ProgramPlan, VarPlan)
-from .interpreter import Interpreter, Observer
+from .dyndep import reduction_stmt_ids
+from .interpreter import Interpreter, Observer, make_engine
 from .machine import Machine, with_processors
 from .values import Buffer
 
@@ -57,9 +58,12 @@ class RegionStats:
         self.loop = loop
         self.seq_ops = ops_at_enter          # entry marker, fixed on exit
         self.iter_costs: List[int] = []
-        self.buffers: Dict[int, int] = {}    # buffer id -> byte size
+        # keyed by buffer *name* (a COMMON block or one procedure's local
+        # array), not id(): storage identity that does not depend on
+        # which addresses the allocator hands a callee's locals
+        self.buffers: Dict[str, int] = {}    # buffer name -> byte size
         self.red_updates = 0
-        self.red_touched: Set[Tuple[int, int]] = set()
+        self.red_touched: Set[Tuple[str, int]] = set()
         self.accesses = 0
 
 
@@ -113,6 +117,12 @@ class ParallelExecutionResult:
 
 
 class _CostObserver(Observer):
+    """Feeds the executor's region tracking from the ``Observer``
+    protocol — the reference path (``engine="tree"``).  The transpiled
+    engine recognizes a lone fresh instance and runs its ``cost``
+    variant instead, filling ``executor.regions`` with identical
+    :class:`RegionStats`."""
+
     def __init__(self, executor: "ParallelExecutor"):
         self.executor = executor
 
@@ -143,7 +153,7 @@ class ParallelExecutor:
                  suppress_factor: float = 2.0,
                  inputs: Sequence[float] = (),
                  max_ops: int = 500_000_000,
-                 engine: str = "compiled"):
+                 engine: str = "transpiled"):
         self.program = program
         self.plan = plan
         self.machine = (with_processors(machine, processors)
@@ -154,7 +164,7 @@ class ParallelExecutor:
         self.max_ops = max_ops
         self.engine = engine
         self._parallel_ids = {l.stmt_id for l in plan.parallel_loops()}
-        self._red_stmts = self._collect_reduction_stmts()
+        self._red_stmts = reduction_stmt_ids(program)
         self._active: Optional[RegionStats] = None
         self._iter_start_ops = 0
         self._iters_seen = 0
@@ -164,31 +174,19 @@ class ParallelExecutor:
         self._outputs: List[float] = []
         self._ran = False
 
-    def _collect_reduction_stmts(self) -> Set[int]:
-        from ..analysis.reduction import scan_block_reductions
-        out: Set[int] = set()
-        for proc in self.program.procedures.values():
-            for upd in scan_block_reductions(proc.body):
-                for inner in upd.stmt.walk():
-                    out.add(inner.stmt_id)
-        return out
-
     # -- driver ------------------------------------------------------------
     def run(self) -> ParallelExecutionResult:
         self.measure()
         return self.account(self.machine.processors)
 
     def measure(self) -> "ParallelExecutor":
-        """Execute once and collect region measurements.  The cost observer
-        needs memory traffic, so under the compiled engine this runs the
-        fully instrumented variant."""
+        """Execute once and collect region measurements (the transpiled
+        engine's ``cost`` variant, or the observer riding the oracle)."""
         if self._ran:
             return self
-        from .compile_engine import make_engine
         self.interp = make_engine(self.program, self.inputs,
-                                  observers=[], max_ops=self.max_ops,
-                                  engine=self.engine)
-        self.interp.observers.append(_CostObserver(self))
+                                  observers=[_CostObserver(self)],
+                                  max_ops=self.max_ops, engine=self.engine)
         self.interp.run()
         self._total_ops = self.interp.ops
         self._outputs = list(self.interp.outputs)
@@ -319,12 +317,12 @@ class ParallelExecutor:
         region = self._active
         if region is None:
             return
-        region.buffers[id(buffer)] = len(buffer.data) * 8
+        region.buffers[buffer.name] = len(buffer.data) * 8
         region.accesses += 1
         if is_write and stmt is not None and \
                 stmt.stmt_id in self._red_stmts:
             region.red_updates += 1
-            region.red_touched.add((id(buffer), offset))
+            region.red_touched.add((buffer.name, offset))
 
     # -- the cost model ----------------------------------------------------------
     def _account_region(self, region: RegionStats, machine: Machine,

@@ -12,7 +12,8 @@ from typing import Dict, List, Optional
 
 from ..ir.program import Program
 from ..ir.statements import LoopStmt
-from .interpreter import Interpreter, Observer
+from .interpreter import (Interpreter, Observer, engine_label,
+                          make_engine)
 from .machine import Machine
 
 
@@ -99,19 +100,18 @@ class LoopProfiler(Observer):
 
 
 def profile_program(program: Program, inputs=(), max_ops: int = 500_000_000,
-                    engine: str = "compiled") -> LoopProfiler:
+                    engine: str = "transpiled") -> LoopProfiler:
     """Run the program once under the Loop Profile Analyzer.
 
     ``engine`` selects the execution substrate (see
-    :func:`repro.runtime.interpreter.run_program`).  Under the compiled
-    engine a lone fresh profiler is compiled *into* the engine
-    (``VARIANT_PROFILE``): loop drivers do their own op-delta accounting
+    :func:`repro.runtime.interpreter.make_engine`).  The transpiled
+    engine emits the profiler *into* the generated code (its
+    ``profile`` variant): loop drivers do their own op-delta accounting
     and no observer callback fires at all — results stay bit-identical to
     this observer running on the tree-walking oracle.  The span is named
     ``instrument.profile`` so traces separate instrumented runs from
     clean execution; its ``engine_variant`` tag records which path ran."""
     from ..obs import get_tracer
-    from .compile_engine import engine_label, make_engine
     with get_tracer().span("instrument.profile", program=program.name,
                            engine=engine) as sp:
         profiler = LoopProfiler()

@@ -1,29 +1,40 @@
 """Transpiled execution engine: IR -> plain Python source.
 
-The third execution substrate, and the fastest.  Where the tree-walking
-:class:`~repro.runtime.interpreter.Interpreter` is the semantic oracle
-and the closure engine (:mod:`repro.runtime.compile_engine`) lowers the
-IR to nested Python closures, this module *generates Python source* —
-the paper's §4.5 endgame of handing generated code to a real compiler,
-with CPython's bytecode compiler standing in for the native one.
+The fast execution substrate.  Where the tree-walking
+:class:`~repro.runtime.interpreter.Interpreter` is the semantic oracle,
+this module *generates Python source* — the paper's §4.5 endgame of
+handing generated code to a real compiler, with CPython's bytecode
+compiler standing in for the native one.
 
-The contract is the same bit-determinism the closure engine honors:
+The contract is bit-determinism against the oracle:
 
-* identical printed outputs, COMMON memory, and **op counts** as the
-  closure engine (ops are charged in the same per-block batches, so the
-  two fast engines agree exactly, including where the budget trips),
+* identical printed outputs, COMMON memory, and **op counts** (ops are
+  charged in per-block batches, so only the point where an exhausted
+  budget trips may differ by a few ops),
 * identical :class:`OpsBudgetExceeded` type and message on exhaustion,
-* codegen-time instrumentation variants (the source-level analogue of
-  the closure engine's ``VARIANT_PROFILE`` / ``VARIANT_DYNDEP``): loop
-  drivers emit their own op-delta accounting, and dyndep shadow-memory
-  updates — stride-sampling window included — are generated directly
-  into the Python, keeping analyzer state bit-identical to the oracle.
+* codegen-time instrumentation variants — the paper's §2.5 "instrumented
+  executables the compiler emits": ``profile`` loop drivers emit their
+  own op-delta accounting, ``dyndep`` shadow-memory updates —
+  stride-sampling window included — are generated directly into the
+  Python, and ``cost`` emits the simulated-multiprocessor run's region
+  accounting (see "cost variant" below), each keeping the observer's
+  state bit-identical to the same observer riding the oracle.
 
 Op accounting in generated code uses a function-local counter ``_o``
 synchronized through a shared cell ``_s[0]`` at call boundaries (callers
 publish before a call, callees start from the cell, and ``finally``
 blocks max-merge on every unwind), so the budget check on the hot path
 is a compare of two local integers.
+
+Cost variant.  The parallel executor prices *outermost parallel
+regions*; which loops are parallel comes from the plan, so it is a
+run-time argument (``_pf``, dense loop-index flags) and one generated
+module serves every plan of a program.  Memory accesses are counted the
+way ops are — a second local counter ``_a`` (cell ``_s[2]``) charged in
+the same per-block batches — and each batch marks the buffers it
+touches in ``_cs.tb`` (name -> bytes).  Per-event code exists only at
+region enter / iteration / exit and at stores inside reduction
+statements.
 
 Generated modules are cached twice: an in-process LRU of exec'd
 namespaces keyed by (program source hash, variant, skip-set signature,
@@ -33,9 +44,10 @@ codegen version), and an optional persistent
 service jobs skip codegen entirely.
 
 Programs or observer configurations the generator cannot express
-(unknown operators/intrinsics, observer sets with no codegen variant)
-make :class:`TranspiledEngine` fall back to the closure engine — same
-results, and ``engine_label`` reports what actually ran.
+(unknown operators/intrinsics, multiple / stale / subclassed observers)
+make :class:`TranspiledEngine` run the tree oracle instead — same
+results, ``engine_label`` reports ``"tree"`` and the ``execute`` span
+carries the reason.
 """
 
 from __future__ import annotations
@@ -52,36 +64,33 @@ from ..ir.statements import (AssignStmt, Block, CallStmt, CycleStmt,
                              ExitStmt, IfStmt, IoStmt, LoopStmt, NoopStmt,
                              ReturnStmt, Statement, StopStmt)
 from ..ir.symbols import INT, Symbol
-from .interpreter import (RuntimeErrorInProgram, TRANSPILED_ENGINE_NAMES,
-                          budget_error)
+from .interpreter import Interpreter, RuntimeErrorInProgram, budget_error
 from .values import Buffer
 
 __all__ = [
-    "CODEGEN_VERSION", "TRANSPILED_ENGINE_NAMES", "TranspileUnsupported",
-    "TranspiledEngine", "VARIANT_DYNDEP", "VARIANT_PLAIN",
-    "VARIANT_PROFILE", "codegen_cache_stats", "compile_program",
-    "loop_table", "reset_codegen_cache", "set_codegen_store",
-    "transpile_to_python",
+    "CODEGEN_VERSION", "TranspileUnsupported", "TranspiledEngine",
+    "VARIANT_COST", "VARIANT_DYNDEP", "VARIANT_PLAIN", "VARIANT_PROFILE",
+    "codegen_cache_stats", "compile_program", "loop_table",
+    "reset_codegen_cache", "set_codegen_store", "transpile_to_python",
 ]
 
 #: Bumped whenever generated-code layout or semantics change: cached
 #: modules (in-process and persistent) then miss instead of being reused.
 CODEGEN_VERSION = 2
 
-#: Instrumentation variants the generator can emit.  ``profile`` and
-#: ``dyndep`` intentionally reuse the closure engine's variant names so
-#: engine labels read uniformly (``transpiled/profile`` vs
-#: ``compiled/profile``).
+#: Instrumentation variants the generator can emit; engine labels read
+#: ``transpiled/<variant>``.
 VARIANT_PLAIN = "plain"
 VARIANT_PROFILE = "profile"
 VARIANT_DYNDEP = "dyndep"
+VARIANT_COST = "cost"
 
 _DEFAULT_MAX_OPS = 500_000_000
 
 
 class TranspileUnsupported(ValueError):
-    """The generator cannot express this program/construct; callers fall
-    back to the closure engine (which shares oracle semantics)."""
+    """The generator cannot express this program/construct; the engine
+    falls back to the tree oracle."""
 
 
 def _buffer_backed(sym: Symbol) -> bool:
@@ -277,9 +286,13 @@ class _Arr:
     of prologue temporaries; formal arrays instead defer everything to
     the runtime 4-tuple ``(buffer, base, lows, strides)`` they were
     passed — the oracle binds the *caller's* view to array formals, so
-    the callee's declared shape never enters the picture."""
+    the callee's declared shape never enters the picture.
 
-    __slots__ = ("buf", "base", "lows", "strides", "formal", "name")
+    ``key`` / ``nbytes`` (cost variant only) are the source texts of the
+    backing buffer's name and byte size, as the footprint records them."""
+
+    __slots__ = ("buf", "base", "lows", "strides", "formal", "name",
+                 "key", "nbytes")
 
     def __init__(self, buf, base, lows, strides, formal, name):
         self.buf = buf
@@ -288,6 +301,7 @@ class _Arr:
         self.strides = strides
         self.formal = formal
         self.name = name
+        self.key = self.nbytes = None
 
     def low(self, k: int):
         if self.formal:
@@ -329,6 +343,20 @@ def _const_index(e: Expression) -> Optional[int]:
     return None
 
 
+def _has_shallow_exit(block: Block) -> bool:
+    """EXIT statements not enclosed in a deeper loop (those are the ones
+    whose _Exit reaches *this* loop)."""
+    for stmt in block.statements:
+        if isinstance(stmt, ExitStmt):
+            return True
+        if isinstance(stmt, LoopStmt):
+            continue                      # inner loop catches its own _Exit
+        for child in stmt.children_blocks():
+            if _has_shallow_exit(child):
+                return True
+    return False
+
+
 class _LoopHead:
     """Codegen-time facts about one loop, computed by
     ``_ProcEmitter._emit_loop_head`` and consumed by
@@ -341,9 +369,8 @@ class _LoopHead:
 
 
 class _ProcEmitter:
-    """Emits one procedure as a Python function, mirroring the closure
-    engine's op batching, loop drivers, and call protocol statement for
-    statement."""
+    """Emits one procedure as a Python function: per-block op batching,
+    range-driven loop drivers, and the shared-cell call protocol."""
 
     def __init__(self, mod: "_ModuleEmitter", proc: Procedure):
         self.mod = mod
@@ -351,12 +378,16 @@ class _ProcEmitter:
         self.proc = proc
         self.dyn = mod.variant == VARIANT_DYNDEP
         self.profile = mod.variant == VARIANT_PROFILE
+        self.cost = mod.variant == VARIANT_COST
         self.is_main = proc.name == mod.program.main
         self.lines: List[str] = []
         self._ind = 0
         self._n = 0
         self._pending: List[str] = []
         self._pending_n = 0
+        self._pending_ev: List[_Arr] = []       # cost: the batch's accesses
+        self._red = False                       # cost: in a reduction stmt?
+        self._keyed: set = set()                # cost: formals needing keys
         self.arrays: Dict[int, _Arr] = {}      # id(sym) -> metadata
         self._site = False                      # dyndep: instrument here?
         self._line = 0                          # dyndep: witness line
@@ -406,12 +437,93 @@ class _ProcEmitter:
     def flush(self) -> None:
         if self._pending_n:
             self.charge(self._pending_n)
+            self.touch(self._pending_ev)
             for line in self._pending:
                 self.w(line)
         self._pending = []
         self._pending_n = 0
+        self._pending_ev = []
         if self._cse is not None:
             self._cse = {}
+
+    # -- cost variant: access accounting -------------------------------------
+    def reads(self, e: Expression, out: List[_Arr]) -> List[_Arr]:
+        """Append the buffer of every read event ``e`` raises
+        unconditionally, mirroring the oracle's ``on_read`` sites
+        (short-circuit right operands charge themselves on reach)."""
+        if isinstance(e, VarRef):
+            if not e.symbol.is_const and _buffer_backed(e.symbol):
+                out.append(self.arrays[id(e.symbol)])
+        elif isinstance(e, ArrayRef):
+            for ix in e.indices:
+                self.reads(ix, out)
+            meta = self.arrays.get(id(e.symbol))
+            if meta is not None:
+                out.append(meta)
+        elif isinstance(e, BinaryOp):
+            self.reads(e.left, out)
+            if e.op not in ("and", "or"):
+                self.reads(e.right, out)
+        elif isinstance(e, UnaryOp):
+            self.reads(e.operand, out)
+        elif isinstance(e, Intrinsic):
+            for a in e.args:
+                self.reads(a, out)
+        return out
+
+    def events(self, exprs: Sequence[Expression]) -> List[_Arr]:
+        """The read events of evaluating ``exprs`` (cost variant; the
+        other variants account for none)."""
+        out: List[_Arr] = []
+        if self.cost:
+            for e in exprs:
+                self.reads(e, out)
+        return out
+
+    def _key(self, meta: _Arr) -> str:
+        """``meta``'s buffer-name text; an array formal's is resolved in
+        the prologue, for just the formals that ask here."""
+        if meta.formal:
+            self._keyed.add(meta.name)
+        return meta.key
+
+    def _marks(self, events: List[_Arr]) -> List[Tuple[str, str]]:
+        """Distinct (name text, byte-size text) of the buffers touched."""
+        return list(dict.fromkeys((self._key(m), m.nbytes)
+                                  for m in events))
+
+    def touch(self, events: List[_Arr]) -> None:
+        """Charge ``len(events)`` accesses and mark their buffers, the
+        batched equivalent of one ``on_read``/``on_write`` per event."""
+        if events:
+            self.w(f"_a += {len(events)}")
+            for key, nbytes in self._marks(events):
+                self.w(f"_tb[{key}] = {nbytes}")
+
+    def _stmt_events(self, s: Statement) -> List[_Arr]:
+        """Every access an assignment / IO statement raises: value and
+        subscript reads plus one write per buffer-backed target."""
+        if isinstance(s, AssignStmt):
+            out, targets = self.events((s.value,)), (s.target,)
+        elif s.kind == "print":
+            return self.events(s.items)
+        else:
+            out, targets = [], s.items
+        for t in targets:
+            if isinstance(t, ArrayRef):
+                out += self.events(t.indices)
+            if isinstance(t, ArrayRef) or _buffer_backed(t.symbol):
+                out.append(self.arrays[id(t.symbol)])
+        return out
+
+    def _red_store(self, meta: _Arr, offtext: str, val: str) -> List[str]:
+        """Store inside a reduction statement (cost variant): the one
+        place a write needs per-event code — the region counts the
+        update and the distinct cells it touches."""
+        self._invalidate_store(meta, None)
+        v, k = self.tmp(), self.tmp()
+        return [f"{v} = {val}", f"{k} = {offtext}",
+                f"{meta.buf}[{k}] = {v}", f"_cs.rw({self._key(meta)}, {k})"]
 
     # -- static analysis -----------------------------------------------------
     def etype(self, e: Expression) -> str:
@@ -580,6 +692,8 @@ class _ProcEmitter:
         lands in a temp (forwarded to later same-slot reads) and every
         possibly-aliasing cached load is dropped."""
         val = valtext if vtype == "f" else f"float({valtext})"
+        if self._red:
+            return self._red_store(meta, offtext, val)
         plain = [f"{meta.buf}[{offtext}] = {val}"]
         if self._cse is None or not self._batch or "_o :=" in offtext:
             self._invalidate_store(meta, None)
@@ -626,9 +740,9 @@ class _ProcEmitter:
 
     # -- expressions ---------------------------------------------------------
     def expr(self, e: Expression) -> Tuple[str, int]:
-        """(source text, static op count) — op protocol identical to the
-        closure engine's ``_c_expr``: one op per node, short-circuit
-        right branches charged dynamically (via walrus on ``_o``)."""
+        """(source text, static op count) — one op per node like the
+        oracle's ``_eval``; short-circuit right branches are charged
+        dynamically (via walrus on ``_o``)."""
         if isinstance(e, Const):
             return _lit(e.value), 1
         if isinstance(e, StrConst):
@@ -660,12 +774,15 @@ class _ProcEmitter:
         if isinstance(e, BinaryOp):
             lt, ln = self.expr(e.left)
             rt, rn = self.expr(e.right)
-            if e.op == "and":
-                return (f"(bool({lt}) and ((_o := _o + {rn}), "
-                        f"bool({rt}))[1])"), 1 + ln
-            if e.op == "or":
-                return (f"(bool({lt}) or ((_o := _o + {rn}), "
-                        f"bool({rt}))[1])"), 1 + ln
+            if e.op in ("and", "or"):
+                reach = [f"(_o := _o + {rn})"]
+                events = self.events((e.right,))
+                if events:
+                    reach.append(f"(_a := _a + {len(events)})")
+                    reach += [f"_tb.__setitem__({key}, {nbytes})"
+                              for key, nbytes in self._marks(events)]
+                return (f"(bool({lt}) {e.op} ({', '.join(reach)}, "
+                        f"bool({rt}))[{len(reach)}])"), 1 + ln
             if e.op == "/":
                 return f"_div({lt}, {rt})", 1 + ln + rn
             op = _BINOPS.get(e.op)
@@ -769,21 +886,17 @@ class _ProcEmitter:
             self.w("pass")
 
     def stmt(self, s: Statement) -> None:
-        if isinstance(s, AssignStmt):
+        if isinstance(s, (AssignStmt, IoStmt)):
             self.set_site(s)
+            self._red = self.cost and s.stmt_id in self.mod.red_stmts
             self._batch = True
-            lines, n = self.assign(s)
+            lines, n = self.assign(s) if isinstance(s, AssignStmt) \
+                else self.io(s)
             self._batch = False
             self._pending.extend(lines)
             self._pending_n += n
-            return
-        if isinstance(s, IoStmt):
-            self.set_site(s)
-            self._batch = True
-            lines, n = self.io(s)
-            self._batch = False
-            self._pending.extend(lines)
-            self._pending_n += n
+            if self.cost:
+                self._pending_ev += self._stmt_events(s)
             return
         if isinstance(s, NoopStmt):
             self._pending_n += 1
@@ -904,11 +1017,12 @@ class _ProcEmitter:
         for cond, body in s.arms:
             self.set_site(s)        # bodies move the site; conds don't
             ct, cn = self.expr(cond)
-            arms.append((ct, cn, body))
+            arms.append((ct, cn, body, self.events((cond,))))
         self.charge(1 + arms[0][1])
+        self.touch(arms[0][3])
 
         def emit_arm(i: int) -> None:
-            ct, _, body = arms[i]
+            ct, _, body, _ = arms[i]
             self.w(f"if {ct}:")
             self._ind += 1
             self.block(body)
@@ -920,6 +1034,7 @@ class _ProcEmitter:
                 if rest:
                     # later arm conditions charge on reach, no check
                     self.w(f"_o += {arms[i + 1][1]}")
+                    self.touch(arms[i + 1][3])
                     emit_arm(i + 1)
                 else:
                     self.block(s.else_block)
@@ -951,7 +1066,7 @@ class _ProcEmitter:
 
     def _bound(self, e: Expression, prefix: str) -> str:
         """Loop bound: a literal when constant, otherwise an ``int()``-
-        coerced temp evaluated once (like the closure driver)."""
+        coerced temp evaluated once."""
         iv = _const_index(e)
         if iv is not None:
             return _lit(iv)
@@ -978,7 +1093,6 @@ class _ProcEmitter:
                                        for x in stmts)
         head.need_cycle = has_call or any(isinstance(x, CycleStmt)
                                           for x in stmts)
-        from .compile_engine import _has_shallow_exit
         head.need_exit = has_call or _has_shallow_exit(loop.body)
         # the per-iteration +1 folds into the body's first batch charge
         # only when no unwind can skip it (the oracle drops it on
@@ -990,6 +1104,7 @@ class _ProcEmitter:
         # per-iteration charge out of the loop: one precomputed
         # (batch + 1) * trips charge, zero accounting inside
         head.precharge = (not self.profile and not self.dyn
+                          and not self.cost
                           and all(isinstance(x, (AssignStmt, IoStmt,
                                                  NoopStmt))
                                   for x in loop.body.statements))
@@ -1010,6 +1125,8 @@ class _ProcEmitter:
         if loop.step is not None:
             head_n += bound_n(loop.step)
         self.charge(head_n)
+        self.touch(self.events([e for e in (loop.low, loop.high, loop.step)
+                                if e is not None]))
 
         head.lo_t = lo_t = self._bound(loop.low, "_lo")
         head.hi_t = self._bound(loop.high, "_hi")
@@ -1057,7 +1174,7 @@ class _ProcEmitter:
         rng = head.rng
 
         L = None
-        if self.profile or self.dyn:
+        if self.profile or self.dyn or self.cost:
             L = self.mod.loop_index[loop.stmt_id]
         if self.profile:
             en = self.tmp("_en")
@@ -1072,6 +1189,12 @@ class _ProcEmitter:
             self.w("_dd.snap = None")
             self.w("if _w:")
             self.w("    _dd.flag = True")
+        if self.cost:
+            # an outermost parallel loop opens a region; ``ic`` collects
+            # the op count at each of its iteration starts
+            ic = self.tmp("_ic")
+            self.w(f"{ic} = _cs.enter({L}, _o, _a) "
+                   f"if _pf[{L}] and _cs.on is None else None")
         iv = self.tmp("_i") if mirror else f"v_{sym.name}"
         self.w(f"{iv} = {lo_t}")
         if self.profile:
@@ -1127,7 +1250,8 @@ class _ProcEmitter:
             self._scopes.pop()
             return
 
-        fenced = need_exit or self.profile or self.dyn or mirror
+        fenced = need_exit or self.profile or self.dyn or self.cost \
+            or mirror
         if fenced:
             self.w("try:")
             self._ind += 1
@@ -1137,6 +1261,9 @@ class _ProcEmitter:
             self.w(f"v_{sym.name} = {iv}")
         if self.profile:
             self.w(f"{it_acc} += 1")
+        if self.cost:
+            self.w(f"if {ic} is not None:")
+            self.w(f"    {ic}.append(_o)")
         if self.dyn:
             itv = self.tmp("_c")
             self.w(f"{itv} = {cell}[2] + 1")
@@ -1191,6 +1318,10 @@ class _ProcEmitter:
                 self.w("    _dd.flag = ((_dd.stack[-1][2] % _w) < 2) "
                        "if _dd.stack else True")
                 emitted = True
+            if self.cost:
+                self.w(f"if {ic} is not None:")
+                self.w(f"    _cs.exit({ic}, _o, _a)")
+                emitted = True
             if not emitted:
                 self.w("pass")
             self._ind -= 1
@@ -1206,6 +1337,8 @@ class _ProcEmitter:
         cbs: List[str] = []
         args_n = 0
         cb_n = 0
+        arg_ev: List[_Arr] = []      # cost: accesses of argument evaluation
+        cb_ev: List[_Arr] = []       # cost: ... of copy-out subscripts
         for pos, (actual, formal) in enumerate(zip(call.args,
                                                    callee.formals)):
             if isinstance(actual, ArrayRef):
@@ -1216,6 +1349,7 @@ class _ProcEmitter:
                 if actual.indices:
                     off, on = self.offset(meta, actual.indices)
                     args_n += on
+                    arg_ev += self.events(actual.indices)
                     if formal.is_array:
                         # sequence association: a 1-D open view rooted
                         # at the element (ArrayView.subview_at)
@@ -1229,6 +1363,7 @@ class _ProcEmitter:
                         args.append((f"{meta.buf}[{off}]", True))
                         cb_off, cb_on = self.offset(meta, actual.indices)
                         cb_n += cb_on
+                        cb_ev += self.events(actual.indices)
                         cbs.append(f"{meta.buf}[{cb_off}] = "
                                    f"float(_r[{pos}])")
                 else:
@@ -1253,6 +1388,7 @@ class _ProcEmitter:
                     f"of {call.callee}")
             t, n = self.expr(actual)
             args_n += n
+            arg_ev += self.events((actual,))
             args.append((t, True))
         for pos in range(len(call.args), len(callee.formals)):
             args.append(("None" if callee.formals[pos].is_array else "0",
@@ -1261,6 +1397,7 @@ class _ProcEmitter:
         self.charge(1)
         if args_n:
             self.w(f"_o += {args_n}")
+        self.touch(arg_ev)
         final = []
         for text, hoist in args:
             if hoist:
@@ -1272,6 +1409,8 @@ class _ProcEmitter:
             else:
                 final.append(text)
         self.w("_s[0] = _o")
+        if self.cost:
+            self.w("_s[2] = _a")
         arglist = ", ".join(final + ["_cm", "_out", "_in", "_s", "_mo"])
         self.w("try:")
         self.w(f"    p_{call.callee}({arglist}{self.mod.extra_args})")
@@ -1281,6 +1420,9 @@ class _ProcEmitter:
         # leave the local counter in sync with the shared cell
         self.w("if _s[0] > _o:")
         self.w("    _o = _s[0]")
+        if self.cost:
+            self.w("if _s[2] > _a:")
+            self.w("    _a = _s[2]")
         if cbs:
             # _s[1] stays None when the callee died during frame setup;
             # the oracle skips copy-out (and its charge) in that case
@@ -1289,6 +1431,7 @@ class _ProcEmitter:
             self._ind += 1
             if cb_n:
                 self.w(f"_o += {cb_n}")
+            self.touch(cb_ev)
             for line in cbs:
                 self.w(line)
             self._ind -= 1
@@ -1305,6 +1448,9 @@ class _ProcEmitter:
         self._ind += 1
         self.w("_o = _s[0]")
         self.w("_s[1] = None")
+        if self.cost:
+            self.w("_a = _s[2]")
+            self.w("_tb = _cs.tb")
         self.w("try:")
         self._ind += 1
 
@@ -1319,8 +1465,10 @@ class _ProcEmitter:
                 self.w(f"    raise _Err({msg!r})")
             self.w(f"buf_{f.name}, off_{f.name}, lo_{f.name}, "
                    f"st_{f.name} = a_{f.name}")
-            self.arrays[id(f)] = _Arr(f"buf_{f.name}", f"off_{f.name}",
-                                      None, None, True, f.name)
+            meta = self.arrays[id(f)] = _Arr(
+                f"buf_{f.name}", f"off_{f.name}", None, None, True, f.name)
+            meta.key, meta.nbytes = f"_k_{f.name}", f"_z_{f.name}"
+        keys_at = len(self.lines)
 
         # common blocks: hoist each flat list once per frame
         hoisted = set()
@@ -1334,9 +1482,7 @@ class _ProcEmitter:
                 if sym.is_array:
                     common_arrays.append((block_name, sym))
                 else:
-                    self.arrays[id(sym)] = _Arr(
-                        f"_c_{block_name}", sym.common_offset,
-                        [1], [1], False, sym.name)
+                    self._bind_common(sym, block_name, [1], [1])
 
         # local scalars first: frame slots default to 0, and dimension
         # expressions may (degenerately) read them
@@ -1356,41 +1502,39 @@ class _ProcEmitter:
 
         # frame-setup op charge: statically summed dimension-expression
         # costs, charged before any dimension runs (no budget check)
-        setup = 0
-        for _, sym in common_arrays:
-            for d in sym.dims:
-                setup += self.expr(d.low)[1]
-                if d.high is not None:
-                    setup += self.expr(d.high)[1]
-        for sym in local_arrays:
-            for d in sym.dims:
-                setup += self.expr(d.low)[1]
-                if d.high is not None:
-                    setup += self.expr(d.high)[1]
+        bounds = [b for sym in [s for _, s in common_arrays] + local_arrays
+                  for d in sym.dims for b in (d.low, d.high)
+                  if b is not None]
+        setup = sum(self.expr(b)[1] for b in bounds)
         if setup:
             self.w(f"_o += {setup}")
+        self.touch(self.events(bounds))
 
-        # dimension expressions compile like the closure engine's frame
-        # setup: dyndep-instrumented, attributed to line 0
+        # dimension expressions are dyndep-instrumented like any other
+        # read (the oracle evaluates them in ``_make_frame``), line 0
         if self.dyn:
             self._site, self._line = True, 0
 
         for block_name, sym in common_arrays:
-            lows, strides = self._emit_shape(sym, local=False)
-            self.arrays[id(sym)] = _Arr(f"_c_{block_name}",
-                                        sym.common_offset, lows, strides,
-                                        False, sym.name)
+            lows, strides, _ = self._emit_shape(sym, local=False)
+            self._bind_common(sym, block_name, lows, strides)
         for sym in local_arrays:
+            meta = self.arrays[id(sym)] = _Arr(f"buf_{sym.name}", 0, [1],
+                                               [1], False, sym.name)
+            meta.key = repr(f"{proc.name}::{sym.name}")
             if any(d.high is None for d in sym.dims):
                 msg = f"local array {sym.name} has assumed size"
                 self.w(f"raise _Err({msg!r})")
                 # codegen must still complete for the (unreachable) body
-                self.arrays[id(sym)] = _Arr(f"buf_{sym.name}", 0,
-                                            [1], [1], False, sym.name)
                 continue
-            lows, strides = self._emit_shape(sym, local=True)
-            self.arrays[id(sym)] = _Arr(f"buf_{sym.name}", 0, lows,
-                                        strides, False, sym.name)
+            meta.lows, meta.strides, size = self._emit_shape(sym, local=True)
+            meta.nbytes = str(size * 8) if isinstance(size, int) \
+                else f"{size} * 8"
+            # array formals resolve their backing buffer's name by id
+            if self.dyn:
+                self.w(f"_dd.names[id(buf_{sym.name})] = {meta.key}")
+            if self.cost:
+                self.w(f"_cs.nm[id(buf_{sym.name})] = {meta.key}")
         if not self.is_main:
             self.w("_o += 5")
         if self.dyn:
@@ -1400,6 +1544,13 @@ class _ProcEmitter:
         self._ind += 1
         self.block(proc.body)
         self._ind -= 1
+        # cost: resolve the backing buffer's name and size, once per
+        # frame, for just the array formals this body accesses
+        for name in sorted(self._keyed, reverse=True):
+            self.lines.insert(keys_at, "    " * self._ind +
+                              f"_z_{name} = len(buf_{name}) * 8")
+            self.lines.insert(keys_at, "    " * self._ind +
+                              f"_k_{name} = _cs.nm[id(buf_{name})]")
         self.w("finally:")
         self._ind += 1
         # copy-out source for the caller: final scalar-formal values.
@@ -1416,13 +1567,25 @@ class _ProcEmitter:
         self._ind += 1
         self.w("if _o > _s[0]:")
         self.w("    _s[0] = _o")
+        if self.cost:
+            self.w("if _a > _s[2]:")
+            self.w("    _s[2] = _a")
         self._ind -= 2
         return self.lines
 
-    def _emit_shape(self, sym: Symbol, local: bool) -> Tuple[List, List]:
+    def _bind_common(self, sym: Symbol, block_name: str, lows: List,
+                     strides: List) -> None:
+        meta = self.arrays[id(sym)] = _Arr(
+            f"_c_{block_name}", sym.common_offset, lows, strides, False,
+            sym.name)
+        meta.key = repr(f"/{block_name}/")
+        meta.nbytes = str(self.program.commons[block_name].size * 8)
+
+    def _emit_shape(self, sym: Symbol, local: bool
+                    ) -> Tuple[List, List, object]:
         """Evaluate one array's declared shape at frame time (lows,
-        strides and — for locals — the backing list), folding constant
-        dimensions into codegen-time ints."""
+        strides, element count and — for locals — the backing list),
+        folding constant dimensions into codegen-time ints."""
         lows: List = []
         extents: List = []
         for d in sym.dims:
@@ -1461,10 +1624,7 @@ class _ProcEmitter:
                 acc = nxt
         if local:
             self.w(f"buf_{sym.name} = [0.0] * {acc}")
-            if self.dyn:
-                bname = f"{self.proc.name}::{sym.name}"
-                self.w(f"_dd.names[id(buf_{sym.name})] = {bname!r}")
-        return lows, strides
+        return lows, strides, acc
 
 
 class _ModuleEmitter:
@@ -1472,7 +1632,7 @@ class _ModuleEmitter:
 
     def __init__(self, program: Program, variant: str, skip_ids=()):
         if variant not in (VARIANT_PLAIN, VARIANT_PROFILE,
-                           VARIANT_DYNDEP):
+                           VARIANT_DYNDEP, VARIANT_COST):
             raise TranspileUnsupported(f"unknown variant {variant!r}")
         if program.main is None:
             raise ValueError("program has no PROGRAM unit")
@@ -1485,6 +1645,12 @@ class _ModuleEmitter:
             self.extra_args = ", _pt, _pv, _pi, _pn, _po"
         elif variant == VARIANT_DYNDEP:
             self.extra_args = ", _dd"
+        elif variant == VARIANT_COST:
+            self.extra_args = ", _pf, _cs"
+            # a function of the program alone, like everything else the
+            # module bakes in: the plan's parallel set arrives as ``_pf``
+            from .dyndep import reduction_stmt_ids
+            self.red_stmts = reduction_stmt_ids(program)
         else:
             self.extra_args = ""
         # minimum positional arity seen per callee: array formals at or
@@ -1543,10 +1709,10 @@ def transpile_to_python(program: Program, variant: str = VARIANT_PLAIN,
 
     ``variant`` selects the instrumentation baked into the source
     (:data:`VARIANT_PLAIN` / :data:`VARIANT_PROFILE` /
-    :data:`VARIANT_DYNDEP`); ``skip_stmt_ids`` is the dyndep
-    reduction/induction skip set, compiled to uninstrumented accesses.
-    Raises :class:`TranspileUnsupported` for programs the generator
-    cannot express (the engine falls back to the closure engine)."""
+    :data:`VARIANT_DYNDEP` / :data:`VARIANT_COST`); ``skip_stmt_ids`` is
+    the dyndep reduction/induction skip set, compiled to uninstrumented
+    accesses.  Raises :class:`TranspileUnsupported` for programs the
+    generator cannot express (the engine falls back to the oracle)."""
     return _ModuleEmitter(program, variant, skip_stmt_ids).emit()
 
 
@@ -1569,7 +1735,11 @@ class TranspiledModule:
 
 _UNSUPPORTED = object()          # negative-cache sentinel
 
-_MEMO_CAP = 128
+#: One interactive session's worth of modules: two programs (before and
+#: after an edit) x four variants.  ``apply_assertions`` re-runs and the
+#: parallel backend's sequential baseline hit it; across service jobs
+#: identical requests are served by the artifact store, never from here.
+_MEMO_CAP = 8
 _lock = threading.Lock()
 _memo: "OrderedDict[tuple, object]" = OrderedDict()
 _counters = {"hit": 0, "miss": 0}
@@ -1608,7 +1778,7 @@ def _raise_budget(ops, mo):
 
 def _bind_runtime(ns: Dict) -> None:
     """Swap a module's self-contained error/budget shims for the
-    runtime's real types so all three engines raise identically."""
+    runtime's real types so both engines raise identically."""
     ns["_Err"] = RuntimeErrorInProgram
     ns["_bud"] = _raise_budget
 
@@ -1625,7 +1795,7 @@ def _exec_module(source: str, program: Program,
 def _cache_key(program: Program, variant: str,
                skip_ids) -> Optional[tuple]:
     src = program.source_text or ""
-    if not src:
+    if not src or program.transformed:
         return None                      # no stable identity: no caching
     digest = hashlib.sha256(src.encode("utf-8")).hexdigest()
     return (digest, variant, _skip_signature(program, skip_ids),
@@ -1701,23 +1871,55 @@ def compile_program(program: Program):
 # engine
 # ---------------------------------------------------------------------------
 
+class _CostRun:
+    """Run-time state of one ``cost``-variant execution (``_cs`` in the
+    generated code): the open region, the touched-buffer marks, the
+    buffer-name registry for array formals, and the closed regions."""
+
+    __slots__ = ("on", "tb", "nm", "regions", "_en", "_a0", "_red", "_rt")
+
+    def __init__(self):
+        self.on: Optional[int] = None        # dense id of the open region
+        self.tb: Dict[str, int] = {}         # buffer name -> bytes
+        self.nm: Dict[int, str] = {}         # id(backing list) -> name
+        self.regions: List[tuple] = []
+
+    def enter(self, lid: int, ops: int, accesses: int) -> List[int]:
+        self.on, self._en, self._a0 = lid, ops, accesses
+        self.tb.clear()
+        self._red, self._rt = 0, set()
+        return []
+
+    def rw(self, key: str, offset: int) -> None:
+        """A store inside a reduction statement."""
+        if self.on is not None:
+            self._red += 1
+            self._rt.add((key, offset))
+
+    def exit(self, starts: List[int], ops: int, accesses: int) -> None:
+        costs = [b - a for a, b in zip(starts, starts[1:] + [ops])]
+        self.regions.append((self.on, ops - self._en, costs, dict(self.tb),
+                             accesses - self._a0, self._red, self._rt))
+        self.on = None
+
+
 class TranspiledEngine:
     """Drop-in engine running generated Python.  Same constructor and
-    public attributes as the closure engine; observer support is
-    narrower by design — no observers (plain), or a lone fresh
-    ``LoopProfiler`` / ``DynamicDependenceAnalyzer`` (compiled to
-    codegen-time instrumentation).  Everything else falls back to the
-    closure engine, and ``engine_label`` then reports the
-    ``compiled/<variant>`` that actually ran."""
+    public attributes as :class:`Interpreter`; observer support is
+    narrower by design — no observers (plain), or one fresh observer of
+    exactly the type a codegen variant reproduces (``LoopProfiler``,
+    ``DynamicDependenceAnalyzer``, the parallel executor's cost
+    observer).  Everything else runs on the tree oracle through the
+    ``Observer`` protocol; ``label`` then reads ``"tree"`` and
+    ``fallback`` says why."""
 
     __slots__ = ("program", "inputs", "observers", "_ops", "max_ops",
                  "outputs", "_current_stmt", "commons", "variant",
-                 "specialize", "label", "_delegate")
+                 "label", "fallback", "_delegate")
 
     def __init__(self, program: Program, inputs: Sequence[float] = (),
                  observers: Sequence = (),
-                 max_ops: int = _DEFAULT_MAX_OPS,
-                 specialize: bool = True):
+                 max_ops: int = _DEFAULT_MAX_OPS):
         self.program = program
         self.inputs = list(inputs)
         self.observers = list(observers)
@@ -1728,8 +1930,8 @@ class TranspiledEngine:
         self.current_stmt: Optional[Statement] = None
         self.commons: Dict[str, Buffer] = {}
         self.variant: Optional[str] = None
-        self.specialize = specialize
         self.label: Optional[str] = None
+        self.fallback: Optional[str] = None
         for name, block in program.commons.items():
             self.commons[name] = Buffer(f"/{name}/", block.size)
 
@@ -1756,24 +1958,43 @@ class TranspiledEngine:
         self._current_stmt = value
 
     def _select(self):
+        """``(variant, observer, None)`` or ``(None, None, reason)``.
+
+        A variant reproduces one observer of the *exact* type (a
+        subclass may override behaviour) that is *fresh* — state from
+        an earlier run must keep accumulating through the callbacks."""
         if not self.observers:
-            return VARIANT_PLAIN, None
-        if self.specialize:
-            from .compile_engine import _specialized_variant
-            upgraded = _specialized_variant(self.observers)
-            if upgraded == "profile":
-                return VARIANT_PROFILE, self.observers[0]
-            if upgraded == "dyndep":
-                return VARIANT_DYNDEP, self.observers[0]
-        return None, None
+            return VARIANT_PLAIN, None, None
+        if len(self.observers) != 1:
+            return None, None, "multiple-observers"
+        obs = self.observers[0]
+        from .dyndep import DynamicDependenceAnalyzer
+        from .parallel_exec import _CostObserver
+        from .profiler import LoopProfiler
+        t = type(obs)
+        if t is LoopProfiler:
+            variant, used = VARIANT_PROFILE, obs.profiles or obs._stack
+        elif t is DynamicDependenceAnalyzer:
+            variant = VARIANT_DYNDEP
+            used = (obs.carried or obs.carried_by_var or obs.witnesses
+                    or obs._last_write or obs._stack or obs._invocations
+                    or obs.sampled_accesses or obs.skipped_accesses)
+        elif t is _CostObserver:
+            variant = VARIANT_COST
+            used = obs.executor.regions or obs.executor._active
+        else:
+            return None, None, "observer-type"
+        if used:
+            return None, None, "stale-observer"
+        return variant, obs, None
 
     def run(self) -> "TranspiledEngine":
         from ..obs import get_tracer
         if self.program.main is None:
             raise ValueError("program has no PROGRAM unit")
-        variant, special = self._select()
+        variant, special, reason = self._select()
         if variant is None:
-            return self._run_fallback()
+            return self._run_fallback(reason)
         skip = special.skip_stmt_ids if variant == VARIANT_DYNDEP else ()
         tracer = get_tracer()
         before = codegen_cache_stats()["miss"]
@@ -1782,8 +2003,8 @@ class TranspiledEngine:
                              variant=variant) as cg:
                 mod = load_module(self.program, variant, skip)
                 cg.tag(cached=codegen_cache_stats()["miss"] == before)
-        except TranspileUnsupported:
-            return self._run_fallback()
+        except TranspileUnsupported as exc:
+            return self._run_fallback(f"unsupported:{exc}")
         self.variant = variant
         self.label = f"transpiled/{variant}"
         with tracer.span("execute", engine="transpiled",
@@ -1792,15 +2013,14 @@ class TranspiledEngine:
             sp.tag(ops=self.ops, variant=variant)
         return self
 
-    def _run_fallback(self) -> "TranspiledEngine":
+    def _run_fallback(self, reason: str) -> "TranspiledEngine":
         """Observer configuration or program shape the generator can't
-        express: delegate to the closure engine (bit-identical
-        semantics) and mirror its results, so callers — profilers, the
-        parallel executor, sessions — keep seeing one engine object."""
-        from .compile_engine import CompiledEngine, engine_label
-        delegate = CompiledEngine(self.program, self.inputs,
-                                  self.observers, self.max_ops,
-                                  specialize=self.specialize)
+        express: delegate to the tree oracle and mirror its results, so
+        callers — profilers, the parallel executor, sessions — keep
+        seeing one engine object."""
+        delegate = Interpreter(self.program, self.inputs, self.observers,
+                               self.max_ops)
+        delegate.fallback = self.fallback = reason
         self._delegate = delegate
         try:
             delegate.run()
@@ -1810,8 +2030,7 @@ class TranspiledEngine:
             self.outputs = delegate.outputs
             self.commons = delegate.commons
             self.current_stmt = delegate.current_stmt
-            self.variant = delegate.variant
-            self.label = engine_label(delegate)
+            self.label = delegate.label
         return self
 
     # -- execution -----------------------------------------------------------
@@ -1823,7 +2042,7 @@ class TranspiledEngine:
               for name, block in program.commons.items()}
         out: List = []
         inp = list(self.inputs)
-        s: List = [0, None]
+        s: List = [0, None, 0]           # ops, copy-out tuple, accesses
         extra: tuple = ()
         state = None
         if variant == VARIANT_PROFILE:
@@ -1838,6 +2057,13 @@ class TranspiledEngine:
             for name, lst in cm.items():
                 state.names[id(lst)] = f"/{name}/"
             extra = (state,)
+        elif variant == VARIANT_COST:
+            state = _CostRun()
+            for name, lst in cm.items():
+                state.nm[id(lst)] = f"/{name}/"
+            parallel = special.executor._parallel_ids
+            extra = ([loop.stmt_id in parallel
+                      for loop in loop_table(program)], state)
         entry = ns[f"p_{program.main}"]
         stop = ns["_Stop"]
         try:
@@ -1856,6 +2082,21 @@ class TranspiledEngine:
                 self._fill_profile(special, state)
             elif variant == VARIANT_DYNDEP:
                 self._fill_dyndep(special, state)
+            elif variant == VARIANT_COST:
+                self._fill_cost(special, state)
+
+    def _fill_cost(self, obs, run: _CostRun) -> None:
+        from .parallel_exec import RegionStats
+        loops = loop_table(self.program)
+        for (lid, seq_ops, costs, buffers, accesses, red,
+             touched) in run.regions:
+            region = RegionStats(loops[lid], seq_ops)
+            region.iter_costs = costs
+            region.buffers = buffers
+            region.accesses = accesses
+            region.red_updates = red
+            region.red_touched = touched
+            obs.executor.regions.append(region)
 
     def _fill_profile(self, obs, state) -> None:
         from .profiler import LoopProfile

@@ -47,7 +47,7 @@ MAX_SLICE_TARGETS = 4
 MAX_SLICE_QUERIES = 16
 
 _DEFAULT_OPTIONS = {
-    "engine": "compiled",
+    "engine": "transpiled",
     "machine": "alphaserver",
     "use_liveness": True,
     "assertions": False,
@@ -110,14 +110,10 @@ def validate_options(options, *, allow_faults: bool = False) -> Optional[Dict]:
                              f"choose from {DIRECTIVE_KINDS}")
     engine = out.get("engine")
     if engine is not None:
-        from ..runtime.interpreter import (COMPILED_ENGINE_NAMES,
-                                           TRANSPILED_ENGINE_NAMES,
-                                           TREE_ENGINE_NAMES)
-        names = (COMPILED_ENGINE_NAMES + TRANSPILED_ENGINE_NAMES
-                 + TREE_ENGINE_NAMES)
-        if engine not in names:
+        from ..runtime.interpreter import ENGINE_NAMES
+        if engine not in ENGINE_NAMES:
             raise ValueError(f"unknown engine {engine!r}; choose from "
-                             f"{sorted(names)}")
+                             f"{list(ENGINE_NAMES)}")
     machine = out.get("machine")
     if machine is not None:
         from ..runtime.machine import MACHINES
@@ -140,11 +136,13 @@ def validate_options(options, *, allow_faults: bool = False) -> Optional[Dict]:
         if not deadline > 0:
             raise ValueError("deadline_s must be positive")
         out["deadline_s"] = deadline
-    if "parallel_execute" in out:
-        flag = out["parallel_execute"]
-        if not isinstance(flag, (bool, int)) or isinstance(flag, float):
-            raise ValueError("parallel_execute must be a boolean")
-        out["parallel_execute"] = bool(flag)
+    for name in ("use_liveness", "assertions", "parallel_execute",
+                 "analysis_only"):
+        if name in out:
+            flag = out[name]
+            if not isinstance(flag, (bool, int)):
+                raise ValueError(f"{name} must be a boolean")
+            out[name] = bool(flag)
     if "workers" in out:
         try:
             workers = int(out["workers"])
@@ -153,18 +151,13 @@ def validate_options(options, *, allow_faults: bool = False) -> Optional[Dict]:
         if workers <= 0:
             raise ValueError("workers must be positive")
         out["workers"] = min(workers, MAX_WORKERS_CAP)
-    if "analysis_only" in out:
-        flag = out["analysis_only"]
-        if not isinstance(flag, (bool, int)) or isinstance(flag, float):
-            raise ValueError("analysis_only must be a boolean")
-        out["analysis_only"] = bool(flag)
-        if out["analysis_only"]:
-            if out.get("parallel_execute"):
-                raise ValueError("analysis_only jobs cannot request "
-                                 "parallel_execute (no program run)")
-            if out.get("assertions"):
-                raise ValueError("analysis_only jobs cannot check "
-                                 "assertions (no execution to compare)")
+    if out.get("analysis_only"):
+        if out.get("parallel_execute"):
+            raise ValueError("analysis_only jobs cannot request "
+                             "parallel_execute (no program run)")
+        if out.get("assertions"):
+            raise ValueError("analysis_only jobs cannot check "
+                             "assertions (no execution to compare)")
     if "slice" in out:
         val = out["slice"]
         if isinstance(val, str):
@@ -266,7 +259,7 @@ def execute_request(request: AnalysisRequest) -> Dict:
         from ..runtime.machine import MACHINES
         from ..explorer.session import ExplorerSession
 
-        machine_name = r.options.get("machine", "alphaserver")
+        machine_name = r.options["machine"]
         try:
             machine = MACHINES[machine_name]
         except KeyError:
@@ -299,9 +292,9 @@ def execute_request(request: AnalysisRequest) -> Dict:
                       MAX_OPS_CAP)
         session = ExplorerSession(
             program, inputs=r.inputs, machine=machine,
-            use_liveness=bool(r.options.get("use_liveness", True)),
+            use_liveness=r.options["use_liveness"],
             max_ops=max_ops,
-            engine=r.options.get("engine", "compiled"),
+            engine=r.options["engine"],
             # cross-job reuse: execution/profiling jobs consult the same
             # per-procedure summary cache the analysis_only path fills
             proc_cache_source=r.source)
@@ -370,9 +363,10 @@ def execute_request(request: AnalysisRequest) -> Dict:
         if outcomes:
             artifact["assertion_outcomes"] = outcomes
         root.tag(ops=session.profiler.total_ops,
-                 engine=r.options.get("engine", "compiled"),
+                 engine=r.options["engine"],
                  profile_engine=session.engine_labels.get("profile"),
-                 dyndep_engine=session.engine_labels.get("dyndep"))
+                 dyndep_engine=session.engine_labels.get("dyndep"),
+                 simexec_engine=session.engine_labels.get("parallel_exec"))
     return artifact
 
 

@@ -130,13 +130,43 @@ def parse_name(name: str) -> Tuple[int, str]:
 
 class SynthWorkload(Workload):
     """A generated corpus entry: a :class:`Workload` plus its trait
-    manifest (seed, drawn traits, source hash, tree-oracle reference)."""
+    manifest (seed, drawn traits, source hash, tree-oracle reference,
+    plan census)."""
 
     def __init__(self, name: str, description: str, source: str, *,
                  manifest: Dict, spec: SynthSpec, tags=()):
         super().__init__(name, description, source, tags=tags)
-        self.manifest = manifest
+        self._manifest = manifest
         self.spec = spec
+
+    @property
+    def manifest(self) -> Dict:
+        """The trait manifest.  Its ``reference`` (a tree-oracle run) and
+        ``plan`` (a full parallelizer pass) sections cost as much as an
+        analysis job, so they are computed on first access: resolving a
+        name to its source — all the service does with a synth name —
+        must not run the analysis."""
+        manifest = self._manifest
+        if "reference" not in manifest:
+            from ...ir import build_program
+            from ...parallelize import Parallelizer
+            from ...runtime import run_program
+
+            ref = run_program(build_program(self.source, self.name),
+                              max_ops=REFERENCE_MAX_OPS, engine="tree")
+            manifest["reference"] = {
+                "outputs": [float(v) for v in ref.outputs],
+                "ops": int(ref.ops)}
+            plan_prog = build_program(self.source, self.name)
+            plan = Parallelizer(plan_prog).plan()
+            parallel = sorted(loop.name for loop in plan.parallel_loops())
+            manifest["plan"] = {
+                "parallel_loops": parallel,
+                "parallel_count": len(parallel),
+                "loop_count": len(plan_prog.all_loops()),
+                "expected_parallel_min": self.spec.min_parallel,
+            }
+        return manifest
 
     def __repr__(self):
         return f"SynthWorkload({self.name})"
@@ -529,35 +559,17 @@ def build_source(seed: int, profile: str) -> Tuple[str, Dict]:
 
 
 def generate(seed: int, profile: str) -> SynthWorkload:
-    """Generate one corpus entry: source + manifest with the tree-oracle
-    reference outputs and the automatic plan's parallel-loop census."""
+    """Generate one corpus entry: source + manifest (whose tree-oracle
+    reference outputs and automatic-plan census fill in on first
+    access, see :attr:`SynthWorkload.manifest`)."""
     if profile not in SPECS:
         raise ValueError(f"unknown synth profile {profile!r}; choose "
                          f"from {profile_names()}")
     source, manifest = build_source(seed, profile)
     spec = SPECS[profile]
-    name = manifest["name"]
-
-    from ...ir import build_program
-    from ...parallelize import Parallelizer
-    from ...runtime import run_program
-
-    ref = run_program(build_program(source, name),
-                      max_ops=REFERENCE_MAX_OPS, engine="tree")
-    manifest["reference"] = {"outputs": [float(v) for v in ref.outputs],
-                             "ops": int(ref.ops)}
-
-    plan_prog = build_program(source, name)
-    plan = Parallelizer(plan_prog).plan()
-    parallel = sorted(loop.name for loop in plan.parallel_loops())
-    manifest["plan"] = {
-        "parallel_loops": parallel,
-        "parallel_count": len(parallel),
-        "loop_count": len(plan_prog.all_loops()),
-        "expected_parallel_min": spec.min_parallel,
-    }
     return SynthWorkload(
-        name, f"generated workload (profile {profile}, seed {seed}): "
-              f"{spec.description}",
+        manifest["name"],
+        f"generated workload (profile {profile}, seed {seed}): "
+        f"{spec.description}",
         source, manifest=manifest, spec=spec,
         tags=("synth", profile))

@@ -30,6 +30,28 @@ SIMPLE_SRC = """
 """
 
 
+class EveryLoopParallel:
+    """A plan stub flagging every loop parallel: each outermost loop
+    becomes a simulated region, whatever the static analysis would say
+    (for the simulated-run parity tests)."""
+
+    loops = {}
+
+    def __init__(self, program):
+        self._loops = program.all_loops()
+
+    def parallel_loops(self):
+        return self._loops
+
+
+def regions_state(executor):
+    """Everything the cost model reads from one simulated run."""
+    return ([(r.loop.stmt_id, r.seq_ops, r.iter_costs,
+              sorted(r.buffers.items()), r.accesses, r.red_updates,
+              sorted(r.red_touched)) for r in executor.regions],
+            executor._total_ops, executor._outputs)
+
+
 @pytest.fixture(scope="session")
 def simple_program():
     return build_program(SIMPLE_SRC, "simple")

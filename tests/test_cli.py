@@ -61,7 +61,7 @@ def test_profile_command_reports_engine(capsys):
     cap = capsys.readouterr()
     assert "interf/1000" in cap.out
     assert "coverage" in cap.out
-    assert "engine: compiled/profile" in cap.err
+    assert "engine: transpiled/profile" in cap.err
 
 
 def test_profile_command_tree_engine(capsys):
@@ -74,7 +74,7 @@ def test_dyndep_command_reports_engine_and_deps(capsys):
     cap = capsys.readouterr()
     assert "loop-carried flow dependence" in cap.out
     assert "write line" in cap.out
-    assert "engine: compiled/dyndep" in cap.err
+    assert "engine: transpiled/dyndep" in cap.err
     assert "sampled" in cap.err
 
 

@@ -18,6 +18,7 @@ sees their traffic too.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import EveryLoopParallel, regions_state
 from repro.ir import build_program
 from repro.parallelize import Parallelizer
 from repro.runtime import analyze_dependences, reduction_stmt_ids, \
@@ -85,17 +86,14 @@ def test_static_parallel_loops_have_no_dynamic_flow_deps(source):
 @settings(max_examples=30, deadline=None)
 @given(programs())
 def test_interpreter_vs_transpiled_backend(source):
-    """Differential semantics fuzzing: the tree-walking interpreter, the
-    closure-compiling engine, and the transpiled-Python backend are three
-    independent implementations and must agree on every generated
-    program."""
+    """Differential semantics fuzzing: the tree-walking interpreter and
+    the standalone transpiled-Python module (its self-contained ``run``,
+    no engine around it) are independent implementations and must agree
+    on every generated program."""
     from repro.runtime.transpile import compile_program
     prog = build_program(source, "fuzz")
     interp = run_program(prog, max_ops=2_000_000, engine="tree").outputs
-    closure = run_program(prog, max_ops=2_000_000,
-                          engine="compiled").outputs
     transpiled = compile_program(prog)([])
-    assert closure == interp
     assert transpiled == pytest.approx([float(v) for v in interp])
 
 
@@ -103,7 +101,7 @@ def test_interpreter_vs_transpiled_backend(source):
 @given(programs())
 def test_budget_exhaustion_is_identical_across_engines(source):
     """Budget-bounded differential case: with ``max_ops`` set below a
-    program's total op count, all three engines must fail with the
+    program's total op count, both engines must fail with the
     *same* unified :class:`OpsBudgetExceeded` — identical type,
     identical message — never a partial result or a divergent error
     string."""
@@ -112,7 +110,7 @@ def test_budget_exhaustion_is_identical_across_engines(source):
     total = run_program(prog, max_ops=2_000_000, engine="tree").ops
     budget = max(1, total // 2)
     messages = []
-    for engine in ("tree", "compiled", "transpiled"):
+    for engine in ("tree", "transpiled"):
         with pytest.raises(OpsBudgetExceeded) as exc_info:
             run_program(prog, max_ops=budget, engine=engine)
         assert exc_info.value.max_ops == budget
@@ -124,13 +122,17 @@ def test_budget_exhaustion_is_identical_across_engines(source):
 
 def _assert_engine_parity(prog_a, prog_b, inputs=(),
                           max_ops=20_000_000, context=""):
-    """Tree-walking oracle and compiled engine must agree *exactly*:
-    printed outputs, final COMMON-block buffer contents, and the op
-    count (the compiled engine's contract is bit-identical accounting,
-    not just matching answers)."""
+    """Tree-walking oracle and the compiled (code-generating) engine
+    must agree *exactly*: printed outputs, final COMMON-block buffer
+    contents, and the op count (the contract is bit-identical
+    accounting, not just matching answers) — and the generated code
+    must actually have run (``transpiled/plain``, no tree fallback)."""
     import numpy as np
+    from repro.runtime import engine_label
     tree = run_program(prog_a, inputs, max_ops=max_ops, engine="tree")
-    comp = run_program(prog_b, inputs, max_ops=max_ops, engine="compiled")
+    comp = run_program(prog_b, inputs, max_ops=max_ops,
+                       engine="transpiled")
+    assert engine_label(comp) == "transpiled/plain", context
     assert comp.outputs == tree.outputs, context
     assert comp.ops == tree.ops, (
         f"{context}: op-count drift tree={tree.ops} compiled={comp.ops}")
@@ -142,35 +144,42 @@ def _assert_engine_parity(prog_a, prog_b, inputs=(),
 
 @settings(max_examples=30, deadline=None)
 @given(programs())
-def test_compiled_engine_matches_tree_oracle(source):
-    """Differential fuzzing of the closure-compiled engine against the
-    tree-walking reference: outputs, COMMON memory, and op counts must
-    be identical, not merely close."""
-    prog = build_program(source, "fuzz")
-    _assert_engine_parity(prog, prog, max_ops=2_000_000, context="fuzz")
-
-
-@settings(max_examples=30, deadline=None)
-@given(programs())
 def test_transpiled_engine_matches_tree_oracle(source):
     """Differential fuzzing of the code-generating engine against the
     tree-walking reference: the generated Python (with its range-driven
     loops, merged op charges, precharged bodies, hoisting and
     store-forwarding) must reproduce outputs, COMMON memory, and op
     counts exactly — and report the ``transpiled/plain`` label."""
-    import numpy as np
-    from repro.runtime.compile_engine import engine_label
     prog = build_program(source, "fuzz")
-    tree = run_program(prog, max_ops=2_000_000, engine="tree")
-    trans = run_program(prog, max_ops=2_000_000, engine="transpiled")
-    assert engine_label(trans) == "transpiled/plain"
-    assert trans.outputs == tree.outputs
-    assert trans.ops == tree.ops, (
-        f"op-count drift tree={tree.ops} transpiled={trans.ops}")
-    assert set(trans.commons) == set(tree.commons)
-    for name, buf in tree.commons.items():
-        assert np.array_equal(trans.commons[name].data, buf.data), (
-            f"COMMON /{name}/ contents differ")
+    _assert_engine_parity(prog, prog, max_ops=2_000_000, context="fuzz")
+
+
+@st.composite
+def any_programs(draw):
+    """The general grammar, or the reduction shapes (whose stores are
+    the ``cost`` variant's only per-event code)."""
+    chooser = _DrawChooser(draw)
+    if draw(st.booleans()):
+        return reduction_merge_program(chooser)
+    return fuzz_program(chooser)
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_programs())
+def test_simulated_run_matches_tree_oracle(source):
+    """Differential fuzzing of the ``cost`` variant: with every loop
+    flagged parallel, the generated region accounting (batched access
+    counts, buffer marks, iteration costs, reduction-store events) must
+    equal the cost observer riding the oracle, region for region."""
+    from repro.runtime import (ALPHASERVER_8400, ParallelExecutor,
+                               engine_label)
+    prog = build_program(source, "fuzz")
+    runs = {engine: ParallelExecutor(prog, EveryLoopParallel(prog),
+                                     ALPHASERVER_8400, max_ops=2_000_000,
+                                     engine=engine).measure()
+            for engine in ("tree", "transpiled")}
+    assert engine_label(runs["transpiled"].interp) == "transpiled/cost"
+    assert regions_state(runs["transpiled"]) == regions_state(runs["tree"])
 
 
 @settings(max_examples=30, deadline=None)
@@ -198,10 +207,10 @@ def test_engines_agree_and_are_unperturbed_under_tracing(source):
 @settings(max_examples=30, deadline=None)
 @given(programs())
 def test_instrumented_fast_path_matches_oracle_under_tracing(source):
-    """Differential fuzzing of the *instrumented* fast path with the
+    """Differential fuzzing of the *instrumented* variants with the
     observability layer switched ON: a lone fresh profiler / dyndep
-    analyzer is compiled into the closure engine (``compiled/profile``,
-    ``compiled/dyndep``), and its state must be bit-identical to the
+    analyzer is generated into the code (``transpiled/profile``,
+    ``transpiled/dyndep``), and its state must be bit-identical to the
     same observer riding the tree-walking oracle — profiles including
     first-touch order, carried-dependence census, witness pairs, and
     sampling counters — while the tracer records the
@@ -209,26 +218,22 @@ def test_instrumented_fast_path_matches_oracle_under_tracing(source):
     engine variant that actually ran."""
     from repro.obs import Tracer, activate
     from repro.runtime import profile_program
-    from repro.runtime.compile_engine import engine_label
     prog = build_program(source, "fuzz")
     skip = reduction_stmt_ids(prog)
     tracer = Tracer()
     with activate(tracer):
         profs = {e: profile_program(prog, max_ops=2_000_000, engine=e)
-                 for e in ("tree", "compiled")}
+                 for e in ("tree", "transpiled")}
         dds = {e: analyze_dependences(prog, skip_stmt_ids=skip,
                                       max_ops=2_000_000, engine=e)
-               for e in ("tree", "compiled")}
-    assert engine_label(profs["compiled"].interpreter) == \
-        "compiled/profile"
-    assert engine_label(dds["compiled"].interpreter) == "compiled/dyndep"
-    tp, cp = profs["tree"], profs["compiled"]
+               for e in ("tree", "transpiled")}
+    tp, cp = profs["tree"], profs["transpiled"]
     assert cp.total_ops == tp.total_ops
     assert [(p.loop.stmt_id, p.total_ops, p.invocations, p.iterations)
             for p in cp.executed_loops()] == \
            [(p.loop.stmt_id, p.total_ops, p.invocations, p.iterations)
             for p in tp.executed_loops()]
-    td, cd = dds["tree"], dds["compiled"]
+    td, cd = dds["tree"], dds["transpiled"]
     assert cd.carried == td.carried
     assert cd.carried_by_var == td.carried_by_var
     assert cd.witnesses == td.witnesses
@@ -239,9 +244,9 @@ def test_instrumented_fast_path_matches_oracle_under_tracing(source):
                             for s2 in spans if s2["name"] == s["name"]}
                 for s in spans}
     assert variants.get("instrument.profile") == \
-        {"tree", "compiled/profile"}
+        {"tree", "transpiled/profile"}
     assert variants.get("instrument.dyndep") == \
-        {"tree", "compiled/dyndep"}
+        {"tree", "transpiled/dyndep"}
 
 
 def _corpus_names():
@@ -252,8 +257,8 @@ def _corpus_names():
 @pytest.mark.parametrize("name", _corpus_names())
 def test_compiled_engine_parity_on_corpus(name):
     """Every workload in the registry runs bit-identically under both
-    engines — the whole-corpus safety net behind the ``engine=``
-    default flip."""
+    engines, from two independently built programs — the whole-corpus
+    safety net behind the ``engine=`` default flip."""
     from repro.workloads import corpus
     w = corpus.get(name)
     _assert_engine_parity(w.build(), w.build(), inputs=w.inputs,

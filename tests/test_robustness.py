@@ -210,7 +210,7 @@ def test_budget_exceeded_identical_across_engines_inline():
         jobs = [sched.submit(AnalysisRequest(
                     source=SRC, program_name="tiny",
                     options={"engine": engine, "max_ops": 50}))
-                for engine in ("compiled", "tree")]
+                for engine in ("transpiled", "tree")]
     for job in jobs:
         assert job.state == "failed"
         assert job.failure_kind == "budget"

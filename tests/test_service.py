@@ -45,12 +45,14 @@ def test_key_is_stable_for_identical_requests():
 
 
 def test_key_changes_with_source_inputs_options_and_schema():
-    base = artifact_key(SRC, "tiny", [1.0], {"engine": "compiled"})
+    base = artifact_key(SRC, "tiny", [1.0], {"engine": "transpiled"})
     assert base != artifact_key(SRC + "\nC x", "tiny", [1.0],
-                                {"engine": "compiled"})
-    assert base != artifact_key(SRC, "tiny", [2.0], {"engine": "compiled"})
+                                {"engine": "transpiled"})
+    assert base != artifact_key(SRC, "tiny", [2.0],
+                                {"engine": "transpiled"})
     assert base != artifact_key(SRC, "tiny", [1.0], {"engine": "tree"})
-    assert base != artifact_key(SRC, "tiny", [1.0], {"engine": "compiled"},
+    assert base != artifact_key(SRC, "tiny", [1.0],
+                                {"engine": "transpiled"},
                                 schema_version=999)
 
 
@@ -349,6 +351,51 @@ def test_server_error_paths(server):
     assert status == 400 and "unknown workload" in out["error"]
     status, out = _call(server, "POST", "/jobs", {})
     assert status == 400
+
+
+def test_server_rejects_removed_engine_names_and_non_boolean_flags(server):
+    """Exactly two engine names exist; every retired spelling is a 400
+    that lists them (an alias would give one computation two content
+    keys).  ``use_liveness`` / ``assertions`` are booleans: the string
+    ``"no"`` must not be accepted and silently mean ``True``."""
+    for name in ("compiled", "closure", "codegen", "interp",
+                 "interpreter", "oracle"):
+        status, out = _call(server, "POST", "/jobs",
+                            {"workload": "ora",
+                             "options": {"engine": name}})
+        assert status == 400, name
+        assert "'transpiled', 'tree'" in out["error"], out["error"]
+    for flag in ("use_liveness", "assertions"):
+        for bad in ("no", 0.5, [], None):
+            status, out = _call(server, "POST", "/jobs",
+                                {"workload": "ora",
+                                 "options": {flag: bad}})
+            assert status == 400, (flag, bad)
+            assert f"{flag} must be a boolean" in out["error"]
+    status, out = _call(server, "POST", "/jobs",
+                        {"workload": "ora",
+                         "options": {"use_liveness": False}})
+    assert status == 202
+
+
+def test_default_engine_is_the_one_recorded_and_traced():
+    """One merged default: the engine a bare request runs on is the one
+    its artifact records and its root span reports, next to the label
+    of each of the three instrumented runs."""
+    from repro.obs import Tracer, activate
+    tracer = Tracer()
+    with activate(tracer):
+        artifact = execute_request(AnalysisRequest("ora"))
+    assert artifact["request"]["options"]["engine"] == "transpiled"
+    assert AnalysisRequest("ora").key() == \
+        AnalysisRequest("ora", options={"engine": "transpiled"}).key()
+    root = [sp for sp in tracer.to_dicts()
+            if sp["name"] == "execute_request"][0]["tags"]
+    assert root["engine"] == "transpiled"
+    assert (root["profile_engine"], root["dyndep_engine"],
+            root["simexec_engine"]) == ("transpiled/profile",
+                                        "transpiled/dyndep",
+                                        "transpiled/cost")
 
 
 # -- cross-process claim protocol ---------------------------------------------

@@ -9,8 +9,9 @@ Three contracts under test:
 2. **4-way parity at corpus scale** — over the pinned tier-1 slice
    (``REPRO_SYNTH_N`` programs, default 200; CI pins 50; soak runs use
    500+), every program produces bit-identical outputs and op counts on
-   the tree oracle, the closure-compiled engine, the transpiled engine,
-   and the 2-worker parallel protocol — and the tree run reproduces the
+   the tree oracle, the transpiled engine, the simulated-multiprocessor
+   run (whose region measurements must also equal the oracle's), and
+   the 2-worker parallel protocol — and the tree run reproduces the
    manifest's self-computed reference exactly.
 3. **Lazy registration** — ``import repro.workloads`` neither imports
    the synth package nor generates anything; synth names resolve through
@@ -24,9 +25,10 @@ import sys
 
 import pytest
 
+from conftest import regions_state
 from repro.ir import build_program
 from repro.parallelize import Parallelizer
-from repro.runtime import run_program
+from repro.runtime import ALPHASERVER_8400, ParallelExecutor, run_program
 from repro.runtime.par_backend import ParallelRunner
 from repro.workloads import synth
 from repro.workloads.synth import generator as synth_generator
@@ -188,20 +190,30 @@ def test_mix_profile_draws_varied_sections():
 
 @pytest.mark.parametrize("name", SLICE)
 def test_four_way_parity(name):
-    """tree == compiled == transpiled == 2-worker parallel protocol,
-    outputs and op counts, and the tree run matches the manifest's
-    generation-time reference bit-exactly."""
+    """tree == transpiled == simulated run == 2-worker parallel
+    protocol, outputs and op counts; the tree run matches the
+    manifest's generation-time reference bit-exactly, and the simulated
+    run's region measurements match the cost observer on the oracle."""
     w = synth.from_name(name)
     ref = w.manifest["reference"]
     tree = run_program(build_program(w.source, w.name), engine="tree")
     assert [float(v) for v in tree.outputs] == ref["outputs"], name
     assert tree.ops == ref["ops"], name
-    comp = run_program(build_program(w.source, w.name), engine="compiled")
     tp = build_program(w.source, w.name)
     trans = run_program(tp, engine="transpiled")
-    assert tree.outputs == comp.outputs == trans.outputs, name
-    assert tree.ops == comp.ops == trans.ops, name
+    assert tree.outputs == trans.outputs, name
+    assert tree.ops == trans.ops, name
     plan = Parallelizer(tp).plan()
+    sims = {e: ParallelExecutor(tp, plan, ALPHASERVER_8400,
+                                engine=e).measure()
+            for e in ("tree", "transpiled")}
+    assert sims["transpiled"].interp.label == "transpiled/cost", name
+    assert regions_state(sims["transpiled"])[1:] == \
+        (trans.ops, trans.outputs), name
+    assert regions_state(sims["transpiled"]) == \
+        regions_state(sims["tree"]), name
+    assert sims["transpiled"].account(8).par_ops == \
+        sims["tree"].account(8).par_ops, name
     par = ParallelRunner(tp, plan, workers=2, inline=True).execute(())
     assert par.outputs == trans.outputs, name
     assert par.ops == trans.ops, name

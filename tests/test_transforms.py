@@ -127,6 +127,32 @@ def test_contraction_shrinks_allocation():
     dsym = prog.procedure("t").symbols.lookup("d")
     assert dsym.constant_size() == 40
 
+def test_transformed_program_is_never_served_a_cached_module():
+    """Transforms rewrite the IR in place and leave ``source_text``
+    alone, so the transpiled engine's source-hash module cache must not
+    serve the pre-transform module to the post-transform program: the
+    simulated run after contraction has to see the smaller footprint."""
+    from repro.runtime import ALPHASERVER_8400, ParallelExecutor
+    from repro.runtime.transpile import reset_codegen_cache
+
+    def footprint(prog, engine):
+        plan = Parallelizer(prog).plan()
+        ex = ParallelExecutor(prog, plan, ALPHASERVER_8400, engine=engine)
+        ex.measure()
+        assert ex.interp.label == ("tree" if engine == "tree"
+                                   else "transpiled/cost")
+        return ([sorted(r.buffers.items()) for r in ex.regions],
+                ex.interp.ops)
+
+    reset_codegen_cache()
+    prog = build_program(CONTRACT_SRC)
+    before = footprint(prog, "transpiled")     # module now memoized
+    contract_in_program(prog)
+    assert prog.transformed
+    after = footprint(prog, "transpiled")
+    assert after != before
+    assert after == footprint(prog, "tree")
+
 
 # -- common-block splitting -------------------------------------------------------
 

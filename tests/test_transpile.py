@@ -11,7 +11,7 @@ from repro.runtime.transpile import compile_program, transpile_to_python
 
 def both(src, inputs=()):
     prog = build_program(src)
-    interp = run_program(prog, inputs).outputs
+    interp = run_program(prog, inputs, engine="tree").outputs
     comp = compile_program(prog)(inputs)
     return interp, comp
 
@@ -121,11 +121,11 @@ def test_transpiled_source_is_plain_python(simple_program):
     "appbt",
 ])
 def test_workloads_transpile_equivalently(name):
-    """Differential test: on every corpus program the compiled backend and
-    the interpreter agree exactly."""
+    """Differential test: on every corpus program the standalone
+    generated module and the tree interpreter agree exactly."""
     from repro.workloads import get
     w = get(name)
     prog = w.build()
-    interp = run_program(prog, w.inputs).outputs
+    interp = run_program(prog, w.inputs, engine="tree").outputs
     comp = compile_program(prog)(w.inputs)
     assert comp == pytest.approx(interp)

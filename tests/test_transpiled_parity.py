@@ -1,33 +1,44 @@
 """Bit-parity of the transpiled (code-generating) engine vs the oracle.
 
 The transpiled engine emits plain Python source per instrumentation
-variant (``plain`` / ``profile`` / ``dyndep``) and runs it; these tests
-pin the contract the generator's optimizations (range-driven loops,
-merged per-iteration charges, whole-loop precharging, invariant
-hoisting, store-forwarding, coercion elision) must honor:
+variant (``plain`` / ``profile`` / ``dyndep`` / ``cost``) and runs it;
+these tests pin the contract the generator's optimizations (range-driven
+loops, merged per-iteration charges, whole-loop precharging, invariant
+hoisting, store-forwarding, coercion elision, batched access counting)
+must honor:
 
 * **plain runs** are bit-identical to the tree-walking oracle — printed
   outputs, op counts, final COMMON memory — over every corpus workload,
-* **codegen-time instrumentation** reproduces the oracle's analyzer
+* **codegen-time instrumentation** reproduces the oracle's observer
   state exactly: LoopProfiler numbers including first-touch order,
   dyndep census / witness pairs / sampling counters at stride 1 and 2,
-* the op budget aborts with the *same* ``OpsBudgetExceeded`` message,
-* unsupported observer configurations **fall back** to the closure
-  engine (and still agree), with ``engine_label`` naming what ran,
-* generated modules are **cached** — in-process memo and the persistent
-  ``ArtifactStore`` — and repeat compilations skip codegen,
+  and the simulated run's per-region measurements and machine accounts,
+* loops left early (EXIT/STOP) and runs cut short by the op budget keep
+  the same partial observer data; the budget aborts with the *same*
+  ``OpsBudgetExceeded`` message,
+* observer sets the generator cannot express (multiple, stale,
+  subclassed) **fall back** to the tree oracle (and still agree), with
+  ``engine_label`` and the span's ``fallback`` tag naming what ran,
+* generated modules are **cached** — in-process memo (bounded) and the
+  persistent ``ArtifactStore`` — and repeat compilations skip codegen,
 * generated-module **hygiene**: user identifiers echoing the preamble
   helper names never capture them.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from conftest import EveryLoopParallel, regions_state
 from repro.ir import build_program
-from repro.runtime import (OpsBudgetExceeded, analyze_dependences,
-                           profile_program, reduction_stmt_ids,
-                           run_program)
-from repro.runtime.compile_engine import engine_label, make_engine
+from repro.parallelize import Parallelizer
+from repro.runtime import (ALPHASERVER_8400, ATOMIC, MINIMIZED, NAIVE,
+                           STAGGERED, TREE, OpsBudgetExceeded,
+                           ParallelExecutor, analyze_dependences,
+                           engine_label, make_engine, profile_program,
+                           reduction_stmt_ids, run_program)
+from repro.runtime import transpile
 from repro.runtime.dyndep import DynamicDependenceAnalyzer
 from repro.runtime.profiler import LoopProfiler
 from repro.runtime.transpile import (codegen_cache_stats, compile_program,
@@ -38,15 +49,17 @@ from repro.workloads import ALL
 
 CORPUS = sorted(ALL)
 
-_cache = {}
 
-
+@lru_cache(maxsize=None)
 def _program(name):
     """Build each workload once so stmt_ids line up across engines."""
-    if name not in _cache:
-        w = ALL[name]
-        _cache[name] = (build_program(w.source, w.name), w.inputs)
-    return _cache[name]
+    w = ALL[name]
+    return build_program(w.source, w.name), tuple(w.inputs)
+
+
+@lru_cache(maxsize=None)
+def _plan(name):
+    return Parallelizer(_program(name)[0]).plan()
 
 
 def _profile_state(p):
@@ -60,6 +73,40 @@ def _dyndep_state(d):
     """Everything a DynamicDependenceAnalyzer exposes."""
     return (d.carried, d.carried_by_var, d.witnesses,
             d.sampled_accesses, d.skipped_accesses, d._invocations)
+
+
+def _accounts(ex):
+    """``account(p)`` over the processor sweep x every reduction
+    lowering — one measurement prices them all."""
+    out = {}
+    for strategy in (NAIVE, MINIMIZED, STAGGERED, ATOMIC, TREE):
+        ex.reduction_strategy = strategy
+        for p in (1, 2, 4, 8, 32):
+            res = ex.account(p)
+            out[strategy, p] = (
+                res.seq_ops, res.par_ops, res.parallel_region_seq_ops,
+                {lid: (t.invocations, t.seq_ops, t.par_ops, t.suppressed)
+                 for lid, t in res.loop_timings.items()})
+    return out
+
+
+# The oracle legs are memoized: tests/test_instrumented_parity.py
+# re-exports these cases under their earlier ids.
+
+@lru_cache(maxsize=None)
+def _profiles(name):
+    prog, inputs = _program(name)
+    return tuple(profile_program(prog, inputs, engine=e)
+                 for e in ("tree", "transpiled"))
+
+
+@lru_cache(maxsize=None)
+def _dyndeps(name, stride):
+    prog, inputs = _program(name)
+    skip = reduction_stmt_ids(prog)
+    return tuple(analyze_dependences(prog, inputs, skip_stmt_ids=skip,
+                                     sample_stride=stride, engine=e)
+                 for e in ("tree", "transpiled"))
 
 
 # -- whole-corpus parity ------------------------------------------------------
@@ -81,9 +128,8 @@ def test_plain_parity_full_corpus(name):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_profiler_parity_full_corpus(name):
-    prog, inputs = _program(name)
-    tree = profile_program(prog, inputs, engine="tree")
-    fast = profile_program(prog, inputs, engine="transpiled")
+    tree, fast = _profiles(name)
+    assert engine_label(tree.interpreter) == "tree"
     assert engine_label(fast.interpreter) == "transpiled/profile"
     assert _profile_state(fast) == _profile_state(tree)
 
@@ -91,28 +137,115 @@ def test_profiler_parity_full_corpus(name):
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("name", CORPUS)
 def test_dyndep_parity_full_corpus(name, stride):
-    prog, inputs = _program(name)
-    skip = reduction_stmt_ids(prog)
-    tree = analyze_dependences(prog, inputs, skip_stmt_ids=skip,
-                               sample_stride=stride, engine="tree")
-    fast = analyze_dependences(prog, inputs, skip_stmt_ids=skip,
-                               sample_stride=stride, engine="transpiled")
+    tree, fast = _dyndeps(name, stride)
+    assert engine_label(tree.interpreter) == "tree"
     assert engine_label(fast.interpreter) == "transpiled/dyndep"
     assert _dyndep_state(fast) == _dyndep_state(tree)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_simulated_run_parity_full_corpus(name):
+    """The ``cost`` variant hands the cost model exactly what the cost
+    observer collects on the oracle: every dynamic region's loop, ops,
+    per-iteration costs, touched buffers and bytes, access count and
+    reduction statistics — hence identical accounts for every machine
+    size and reduction lowering."""
+    prog, inputs = _program(name)
+    runs = {e: ParallelExecutor(prog, _plan(name), ALPHASERVER_8400,
+                                inputs=inputs, engine=e).measure()
+            for e in ("tree", "transpiled")}
+    assert engine_label(runs["tree"].interp) == "tree"
+    assert engine_label(runs["transpiled"].interp) == "transpiled/cost"
+    assert regions_state(runs["transpiled"]) == \
+        regions_state(runs["tree"])
+    assert _accounts(runs["transpiled"]) == _accounts(runs["tree"])
+
+
+# -- early-exit control flow ---------------------------------------------------
+
+EXIT_SRC = """
+      PROGRAM t
+      DIMENSION a(50)
+      s = 0.0
+      DO 100 it = 1, 5
+        DO 10 i = 1, 50
+          a(i) = a(i) + i * 1.0
+          IF (i .GT. 12) EXIT
+          s = s + a(i)
+10      CONTINUE
+100   CONTINUE
+      PRINT *, s
+      END
+"""
+
+STOP_SRC = """
+      PROGRAM t
+      DIMENSION a(50)
+      DO 10 i = 1, 50
+        a(i) = i * 2.0
+        IF (i .GT. 7) THEN
+          STOP
+        END IF
+10    CONTINUE
+      PRINT *, a(1)
+      END
+"""
+
+
+@pytest.mark.parametrize("src", [EXIT_SRC, STOP_SRC],
+                         ids=["exit", "stop"])
+def test_profile_totals_match_on_early_loop_exit(src):
+    """Loops left mid-iteration via EXIT/STOP: the generated drivers
+    accumulate totals in a ``finally`` at the oracle's on_loop_exit
+    point, so partial iterations charge identically on both engines."""
+    prog = build_program(src)
+    tree = profile_program(prog, engine="tree")
+    fast = profile_program(prog, engine="transpiled")
+    assert engine_label(fast.interpreter) == "transpiled/profile"
+    assert _profile_state(fast) == _profile_state(tree)
+    # the early exit actually happened: iterations < trip count bound
+    inner = prog.loop("t/10")
+    assert fast.profile(inner).iterations < 50 * \
+        fast.profile(inner).invocations
+
+
+@pytest.mark.parametrize("src", [EXIT_SRC, STOP_SRC],
+                         ids=["exit", "stop"])
+def test_dyndep_state_matches_on_early_loop_exit(src):
+    prog = build_program(src)
+    tree = analyze_dependences(prog, engine="tree")
+    fast = analyze_dependences(prog, engine="transpiled")
+    assert engine_label(fast.interpreter) == "transpiled/dyndep"
+    assert _dyndep_state(fast) == _dyndep_state(tree)
+
+
+@pytest.mark.parametrize("src", [EXIT_SRC, STOP_SRC],
+                         ids=["exit", "stop"])
+def test_simulated_regions_match_on_early_loop_exit(src):
+    """A region left via EXIT, or unwound by STOP, still closes in a
+    ``finally`` with the partial last iteration's cost."""
+    prog = build_program(src)
+    runs = {e: ParallelExecutor(prog, EveryLoopParallel(prog),
+                                ALPHASERVER_8400, engine=e).measure()
+            for e in ("tree", "transpiled")}
+    assert engine_label(runs["transpiled"].interp) == "transpiled/cost"
+    assert runs["tree"].regions
+    assert regions_state(runs["transpiled"]) == \
+        regions_state(runs["tree"])
 
 
 # -- budget enforcement -------------------------------------------------------
 
 def test_budget_abort_message_identical_across_engines():
-    """All three engines must raise the *same* unified exception with
-    the *same* message (the abort may land a few ops apart — the
-    generated code charges loops in merged batches — but the contract
-    is the error type and text, which carry only ``max_ops``)."""
+    """Both engines must raise the *same* unified exception with the
+    *same* message (the abort may land a few ops apart — the generated
+    code charges loops in merged batches — but the contract is the
+    error type and text, which carry only ``max_ops``)."""
     prog, inputs = _program("mdg")
     total = run_program(prog, inputs, engine="tree").ops
     budget = max(1, total // 2)
     messages = []
-    for engine in ("tree", "compiled", "transpiled"):
+    for engine in ("tree", "transpiled"):
         with pytest.raises(OpsBudgetExceeded) as exc_info:
             run_program(prog, inputs, max_ops=budget, engine=engine)
         assert exc_info.value.max_ops == budget
@@ -121,67 +254,244 @@ def test_budget_abort_message_identical_across_engines():
     assert messages[0] == f"operation budget exceeded (max_ops={budget})"
 
 
-# -- fallback to the closure engine -------------------------------------------
+def test_profile_partial_data_survives_ops_budget_abort():
+    """The oracle keeps whatever it observed before the op budget blew;
+    the generated code's fill-back runs in a ``finally`` so it must too.
+
+    Exact op totals legitimately differ by a few ops here: the
+    transpiled engine charges ops in per-block batches, so the budget
+    trips a handful of ops away from the oracle's finer-grained checks.
+    That skew exists for *clean* execution too and only becomes
+    observable at the abort point; the structural profile (which loops,
+    in which first-touch order, with which invocation/iteration counts)
+    must still match, and per-loop totals may differ by at most the
+    global abort skew."""
+    results = []
+    prog, inputs = _program("mdg")
+    for engine in ("tree", "transpiled"):
+        prof = LoopProfiler()
+        eng = make_engine(prog, inputs, max_ops=20_000, engine=engine)
+        prof.attach(eng)
+        with pytest.raises(OpsBudgetExceeded):
+            eng.run()
+        prof.finish()
+        results.append(prof)
+    tree, fast = results
+    t_loops = tree.executed_loops()
+    f_loops = fast.executed_loops()
+    assert t_loops, "budget abort must leave partial profiles"
+    assert [(p.loop.stmt_id, p.invocations, p.iterations)
+            for p in f_loops] == \
+           [(p.loop.stmt_id, p.invocations, p.iterations)
+            for p in t_loops]
+    skew = abs(fast.total_ops - tree.total_ops)
+    assert skew < 1_000, "abort points wildly diverged"
+    for f, t in zip(f_loops, t_loops):
+        assert abs(f.total_ops - t.total_ops) <= skew
+
+
+def test_simulated_run_budget_abort_mid_region():
+    """A budget that blows inside a parallel region: every region
+    closed before the abort is bit-identical, and the open one is still
+    delivered (closed by the unwinding ``finally``) for the same loop,
+    its partial costs within the batch-charging skew."""
+    prog, inputs = _program("mdg")
+    runs = {}
+    for engine in ("tree", "transpiled"):
+        ex = ParallelExecutor(prog, _plan("mdg"), ALPHASERVER_8400,
+                              inputs=inputs, max_ops=20_000,
+                              engine=engine)
+        with pytest.raises(OpsBudgetExceeded):
+            ex.measure()
+        runs[engine] = (regions_state(ex)[0], ex.interp.ops)
+    (tree, t_ops), (fast, f_ops) = runs["tree"], runs["transpiled"]
+    assert len(tree) > 1, "the budget must trip after some regions"
+    assert fast[:-1] == tree[:-1]
+    (t_loop, t_seq, t_costs, *_) = tree[-1]
+    (f_loop, f_seq, f_costs, *_) = fast[-1]
+    assert f_loop == t_loop
+    assert f_costs[:-1] == t_costs[:-1]
+    skew = abs(f_ops - t_ops)
+    assert skew < 1_000, "abort points wildly diverged"
+    assert abs(f_seq - t_seq) <= skew
+
+
+# -- witness bookkeeping -------------------------------------------------------
+
+MANY_READERS_SRC = """
+      PROGRAM t
+      DIMENSION a(40)
+      a(1) = 1.0
+      DO 10 i = 2, 40
+        a(i) = a(i-1) + 1.0
+        b1 = a(i-1) * 2.0
+        b2 = a(i-1) * 3.0
+        b3 = a(i-1) * 4.0
+        b4 = a(i-1) * 5.0
+10    CONTINUE
+      PRINT *, a(40)
+      END
+"""
+
+
+@pytest.mark.parametrize("engine", ["tree", "transpiled"])
+def test_witnesses_dedupe_before_cap(engine):
+    """A hot (writer, reader) pair repeating every iteration is ONE
+    witness; the cap applies to *distinct* pairs, so later distinct
+    readers still earn a slot instead of being crowded out."""
+    prog = build_program(MANY_READERS_SRC)
+    dd = analyze_dependences(prog, engine=engine)
+    loop = prog.loop("t/10")
+    pairs = dd.witnesses[loop.stmt_id]
+    assert len(pairs) == 4                       # _MAX_WITNESSES
+    assert len(set(pairs)) == 4                  # all distinct
+    # 5 distinct reader lines exist; the first four in program order win
+    reader_lines = [r for _, r in pairs]
+    assert reader_lines == sorted(reader_lines)
+    # far more dependences than witnesses: the census kept counting
+    assert dd.carried[loop.stmt_id] > 4
+
+
+def test_witness_pairs_identical_across_engines():
+    prog = build_program(MANY_READERS_SRC)
+    tree = analyze_dependences(prog, engine="tree")
+    fast = analyze_dependences(prog, engine="transpiled")
+    assert fast.witnesses == tree.witnesses
+
+
+# -- fallback to the tree oracle ----------------------------------------------
+
+def _run_dyndep(prog, inputs, analyzer=None, engine="transpiled"):
+    d = analyzer or DynamicDependenceAnalyzer()
+    eng = make_engine(prog, inputs, engine=engine)
+    d.attach(eng)
+    eng.run()
+    return d, eng
+
+
+def _execute_spans(tracer):
+    return [s["tags"] for s in tracer.to_dicts() if s["name"] == "execute"]
+
 
 def test_extra_observers_fall_back_and_agree():
     """Profiler + dyndep attached together has no codegen variant: the
-    transpiled engine must delegate to the closure engine's generic
-    observer path and the pair must still match the oracle pair."""
+    transpiled engine must delegate to the oracle's observer protocol
+    (while the profiler reads live op counts through the engine it is
+    attached to) and the pair must match the oracle pair."""
+    from repro.obs import Tracer, activate
     prog, inputs = _program("mgrid")
     p, d = LoopProfiler(), DynamicDependenceAnalyzer()
-    eng = make_engine(prog, inputs, observers=[], engine="transpiled")
+    eng = make_engine(prog, inputs, engine="transpiled")
     p.attach(eng)
     d.attach(eng)
-    eng.run()
+    tracer = Tracer()
+    with activate(tracer):
+        eng.run()
     p.finish()
-    assert engine_label(eng) == "compiled/full"
+    assert engine_label(eng) == "tree"
+    assert eng.fallback == "multiple-observers"
+    assert _execute_spans(tracer)[0]["fallback"] == "multiple-observers"
     tp, td = LoopProfiler(), DynamicDependenceAnalyzer()
-    teng = make_engine(prog, inputs, observers=[], engine="tree")
+    teng = make_engine(prog, inputs, engine="tree")
     tp.attach(teng)
     td.attach(teng)
     teng.run()
     tp.finish()
     assert _profile_state(p) == _profile_state(tp)
     assert _dyndep_state(d) == _dyndep_state(td)
+    assert eng.ops == teng.ops and eng.outputs == teng.outputs
 
 
-def test_specialize_false_falls_back_same_results():
-    prog, inputs = _program("mdg")
-    fast_p = LoopProfiler()
-    fast = make_engine(prog, inputs, observers=[], engine="transpiled")
-    fast_p.attach(fast)
-    fast.run()
-    fast_p.finish()
-    assert engine_label(fast) == "transpiled/profile"
-    slow_p = LoopProfiler()
-    slow = make_engine(prog, inputs, observers=[], engine="transpiled",
-                       specialize=False)
-    slow_p.attach(slow)
-    slow.run()
-    slow_p.finish()
-    assert engine_label(slow) == "compiled/loops"
-    assert _profile_state(fast_p) == _profile_state(slow_p)
+def test_stale_analyzer_falls_back_to_generic_path():
+    """A dyndep analyzer carrying state from an earlier run must NOT be
+    generated in (the fill-back would double-count); the engine keeps
+    the observer protocol and the analyzer accumulates as on the
+    oracle."""
+    prog, inputs = _program("hydro2d")
+    d, eng1 = _run_dyndep(prog, inputs)
+    assert engine_label(eng1) == "transpiled/dyndep"
+    assert eng1.fallback is None
+    once = _dyndep_state(d)
+    d2, eng2 = _run_dyndep(prog, inputs, analyzer=d)   # reuse, now dirty
+    assert engine_label(eng2) == "tree"
+    assert eng2.fallback == "stale-observer"
+    # oracle reference: one fresh run + one accumulating rerun
+    ref = DynamicDependenceAnalyzer()
+    for _ in range(2):
+        _run_dyndep(prog, inputs, analyzer=ref, engine="tree")
+    assert _dyndep_state(d2) == _dyndep_state(ref)
+    assert d2.sampled_accesses == 2 * once[3]
 
 
-def test_parallel_executor_falls_back_and_matches():
-    """The parallel executor attaches its own cost observer, which has
-    no codegen variant — engine="transpiled" must fall back to the
-    closure engine and produce the identical machine account."""
-    from repro.parallelize import Parallelizer
-    from repro.runtime import ALPHASERVER_8400
-    from repro.runtime.parallel_exec import ParallelExecutor
-    prog, inputs = _program("mdg")
-    plan = Parallelizer(prog).plan()
-    runs = {}
-    for engine in ("compiled", "transpiled"):
-        ex = ParallelExecutor(prog, plan, ALPHASERVER_8400,
-                              inputs=inputs, engine=engine)
-        runs[engine] = ex.run()
-        assert engine_label(ex.interp) == "compiled/full", engine
-    comp, trans = runs["compiled"], runs["transpiled"]
-    assert trans.par_ops == comp.par_ops
-    assert trans.speedup == comp.speedup
-    assert trans.outputs == comp.outputs
+def test_stale_profiler_reports_tree_and_reason():
+    """What ran, and why, is readable from the trace alone: the
+    instrumented run's ``engine_variant`` and its execute span's
+    ``fallback`` tag."""
+    from repro.obs import Tracer, activate
+    prog, inputs = _program("ora")
+    prof = profile_program(prog, inputs)
+    assert engine_label(prof.interpreter) == "transpiled/profile"
+    tracer = Tracer()
+    with activate(tracer):
+        eng = make_engine(prog, inputs)
+        prof.attach(eng)                       # second run, now dirty
+        eng.run()
+    assert engine_label(eng) == "tree"
+    assert _execute_spans(tracer)[0]["fallback"] == "stale-observer"
+    ref = LoopProfiler()
+    for _ in range(2):
+        teng = make_engine(prog, inputs, engine="tree")
+        ref.attach(teng)
+        teng.run()
+    assert [(p.loop.stmt_id, p.total_ops, p.invocations, p.iterations)
+            for p in prof.executed_loops()] == \
+           [(p.loop.stmt_id, p.total_ops, p.invocations, p.iterations)
+            for p in ref.executed_loops()]
+
+
+def test_subclassed_observer_falls_back():
+    """A subclass may override behaviour, so only the exact analyzer
+    types are generated in."""
+    class Sub(LoopProfiler):
+        pass
+
+    prog, inputs = _program("ora")
+    prof = Sub()
+    eng = make_engine(prog, inputs, engine="transpiled")
+    prof.attach(eng)
+    eng.run()
+    prof.finish()
+    assert engine_label(eng) == "tree"
+    assert eng.fallback == "observer-type"
+    assert _profile_state(prof) == \
+        _profile_state(profile_program(prog, inputs, engine="tree"))
+
+
+def test_unsupported_program_falls_back_with_reason(monkeypatch):
+    from repro.obs import Tracer, activate
+
+    def refuse(*args, **kwargs):
+        raise transpile.TranspileUnsupported("cannot transpile this")
+
+    monkeypatch.setattr(transpile, "load_module", refuse)
+    prog, inputs = _program("ora")
+    tracer = Tracer()
+    with activate(tracer):
+        eng = run_program(prog, inputs, engine="transpiled")
+    assert engine_label(eng) == "tree"
+    assert eng.fallback == "unsupported:cannot transpile this"
+    assert _execute_spans(tracer) == [
+        {"engine": "tree", "program": prog.name, "ops": eng.ops,
+         "observers": 0, "fallback": "unsupported:cannot transpile this"}]
+    assert eng.outputs == run_program(prog, inputs, engine="tree").outputs
+
+
+def test_unknown_engine_is_a_value_error():
+    prog, inputs = _program("ora")
+    for name in ("compiled", "oracle", ""):
+        with pytest.raises(ValueError) as exc_info:
+            run_program(prog, inputs, engine=name)
+        assert "('transpiled', 'tree')" in str(exc_info.value)
 
 
 # -- codegen caching ----------------------------------------------------------
@@ -203,6 +513,39 @@ def test_compile_program_memoizes_on_source_hash():
     w = ALL["ora"]
     rebuilt = build_program(w.source, w.name)
     assert compile_program(rebuilt) is run1
+
+
+def test_memo_is_bounded_and_serves_a_session_rerun():
+    """The in-process memo holds one session's worth of modules: it
+    never grows past its cap, and re-running a program after
+    ``apply_assertions`` (a new plan over the same source) is a codegen
+    hit for all three instrumented variants — the plan's parallel set
+    is a run-time argument of the ``cost`` module, not part of its
+    key."""
+    from repro.explorer.session import ExplorerSession
+    set_codegen_store(None)
+    reset_codegen_cache()
+    for name in CORPUS[:6]:
+        prog, inputs = _program(name)
+        for variant in (transpile.VARIANT_PLAIN, transpile.VARIANT_PROFILE,
+                        transpile.VARIANT_COST):
+            load_module(prog, variant)
+            assert len(transpile._memo) <= transpile._MEMO_CAP
+    assert len(transpile._memo) == transpile._MEMO_CAP
+
+    reset_codegen_cache()
+    w = ALL["mdg"]
+    session = ExplorerSession(w.build(), inputs=w.inputs)
+    session.run_automatic()
+    first = codegen_cache_stats()
+    assert first == {"hit": 0, "miss": 3}
+    before = len(session.plan.parallel_loops())
+    session.apply_assertions(w.user_assertions)
+    assert len(session.plan.parallel_loops()) > before
+    assert codegen_cache_stats() == {"hit": 3, "miss": 3}
+    assert session.engine_labels == {
+        "profile": "transpiled/profile", "dyndep": "transpiled/dyndep",
+        "parallel_exec": "transpiled/cost"}
 
 
 def test_persistent_store_serves_generated_source(tmp_path):
