@@ -26,12 +26,12 @@
 #   6. the incremental-analysis gate (a one-procedure edit on the
 #      deepest call graphs invalidates exactly its dependency cone,
 #      with warm/cold bit parity and a no-op hot re-run),
-#   7. the scale-out service gates: the BENCH_service.json concurrency
-#      contracts (sharded warm throughput >= 2x the single-pool server
-#      at 16 clients; a cold 64-client same-key storm across two
-#      server processes computes its artifact exactly once with
-#      bit-identical responses) plus the quick HTTP soak driving the
-#      synth population through the sharded asyncio server.
+#   7. the service concurrency gates: the BENCH_service.json contracts
+#      (warm POST /jobs throughput at 16 clients within 20% of its
+#      baseline; a cold 64-client same-key storm across two server
+#      processes computes its artifact exactly once with bit-identical
+#      responses) plus the quick HTTP soak driving the synth population
+#      through the server (no failed job, no dead connection handler).
 #
 # Any failure stops the script with a nonzero exit.
 
@@ -61,7 +61,7 @@ python scripts/soak_check.py --quick
 echo "== [6/7] incremental-analysis gate (cone invalidation + parity) =="
 python scripts/incr_check.py
 
-echo "== [7/7] scale-out service gates (sharded throughput + single-flight storm + HTTP soak) =="
+echo "== [7/7] service concurrency gates (warm throughput + single-flight storm + HTTP soak) =="
 python scripts/perf_check.py --only service
 python scripts/soak_check.py --quick --http
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """End-to-end smoke test for the analysis service (CI gate).
 
-Starts the sharded asyncio HTTP server on an ephemeral port, submits a
+Starts the HTTP server (2 shards) on an ephemeral port, submits a
 corpus job, polls it to completion, streams its progress events over
 SSE, fetches the artifact, re-submits to prove the cache serves the
 repeat, checks ``/metrics`` consistency — then spawns a **second
@@ -44,8 +44,8 @@ sys.path.insert(0, str(REPO / "src"))
 # own pid, own pools — only the claim files coordinate the two
 CHILD_SERVER = """\
 import sys
-from repro.service import AsyncAnalysisServer
-srv = AsyncAnalysisServer(cache_dir=sys.argv[1], shards=2)
+from repro.service import AnalysisServer
+srv = AnalysisServer(cache_dir=sys.argv[1], shards=2)
 srv.start()
 print(srv.url, flush=True)
 sys.stdin.read()                  # parent closes stdin to stop us
@@ -104,12 +104,12 @@ def read_sse(base: str, job_id: str, timeout: float):
 
 def fault_smoke(args) -> int:
     """The chaos gate: seeded fault injection + deadline enforcement."""
-    from repro.service import AsyncAnalysisServer
+    from repro.service import AnalysisServer
 
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
-        with AsyncAnalysisServer(cache_dir=str(Path(tmp) / "cache"),
-                                 port=0, shards=2,
-                                 inject=args.inject) as server:
+        with AnalysisServer(cache_dir=str(Path(tmp) / "cache"),
+                            port=0, shards=2,
+                            inject=args.inject) as server:
             base = server.url
             print(f"server up at {base} [inject {args.inject!r}]")
 
@@ -162,9 +162,9 @@ def fault_smoke(args) -> int:
 
         # deterministic shedding: a zero-capacity server must 429 every
         # piece of new work, with a Retry-After hint and shed counters
-        with AsyncAnalysisServer(cache_dir=str(Path(tmp) / "cache"),
-                                 port=0, shards=1, inline=True,
-                                 max_queue=0) as shed_srv:
+        with AnalysisServer(cache_dir=str(Path(tmp) / "cache"),
+                            port=0, shards=1, inline=True,
+                            max_queue=0) as shed_srv:
             req = urllib.request.Request(
                 shed_srv.url + "/jobs",
                 data=json.dumps({"workload": args.workload,
@@ -255,11 +255,11 @@ def main(argv=None) -> int:
     if args.inject:
         return fault_smoke(args)
 
-    from repro.service import AsyncAnalysisServer
+    from repro.service import AnalysisServer
 
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as cache_dir:
-        with AsyncAnalysisServer(cache_dir=cache_dir, port=0,
-                                 shards=2) as server:
+        with AnalysisServer(cache_dir=cache_dir, port=0,
+                            shards=2) as server:
             base = server.url
             print(f"server up at {base} (cache {cache_dir}, 2 shards)")
 
@@ -276,14 +276,7 @@ def main(argv=None) -> int:
             status, out = call(base, "POST", "/jobs",
                                {"workload": args.workload})
             expect(status == 202, f"POST /jobs -> {status}: {out}")
-            job = out["job"]
-            deadline = time.time() + args.timeout
-            while job["state"] not in ("done", "failed"):
-                expect(time.time() < deadline, "job timed out")
-                time.sleep(0.2)
-                status, out = call(base, "GET", f"/jobs/{job['id']}")
-                expect(status == 200, f"GET /jobs/{job['id']} -> {status}")
-                job = out["job"]
+            job = poll(base, out["job"], args.timeout)
             expect(job["state"] == "done",
                    f"job failed: {job.get('error')}")
             print(f"job {job['id']} done in "
@@ -374,6 +367,12 @@ def main(argv=None) -> int:
             # dir, one cold key — exactly one computation
             single_flight_storm(base, cache_dir, args.workload,
                                 args.timeout)
+
+            # every request above was answered: no connection handler
+            # died on an unexpected exception
+            errors = call(base, "GET", "/metrics")[1]["counters"] \
+                .get("http_conn_errors", 0)
+            expect(errors == 0, f"http_conn_errors = {errors}, want 0")
 
     print("SMOKE OK")
     return 0

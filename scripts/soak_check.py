@@ -20,8 +20,8 @@ Exit code 0 = all contracts hold.  ``--quick`` (CI gate 5) runs a
 60-program slice on 2 workers; the full soak defaults to 500 programs
 (override with ``--n`` or the ``REPRO_SYNTH_N`` environment knob).
 
-``--http`` drives the same population through the sharded asyncio HTTP
-server instead of a bare scheduler: every submission goes over POST
+``--http`` drives the same population through the HTTP server
+(``--shards`` pool shards) instead of a bare scheduler: every submission goes over POST
 ``/jobs``, completion is observed by polling, and the shard placement,
 dedupe, and retention contracts are asserted from ``/metrics`` and
 ``/jobs`` alone — the soak sees only what a real client sees.
@@ -66,9 +66,9 @@ def call(base: str, method: str, path: str, body=None, timeout=120):
 
 
 def http_soak(args, names, submit_names, n_dupes, max_jobs) -> int:
-    """The synth population through the sharded asyncio server: the
-    soak observes only what a real HTTP client can observe."""
-    from repro.service import AsyncAnalysisServer
+    """The synth population through the HTTP server: the soak observes
+    only what a real HTTP client can observe."""
+    from repro.service import AnalysisServer
 
     ok = True
     tmp = None
@@ -76,9 +76,9 @@ def http_soak(args, names, submit_names, n_dupes, max_jobs) -> int:
         tmp = tempfile.TemporaryDirectory(prefix="repro-soak-")
         args.cache_dir = tmp.name
     t0 = time.perf_counter()
-    with AsyncAnalysisServer(cache_dir=args.cache_dir, port=0,
-                             shards=args.shards, workers=args.workers,
-                             max_jobs=max_jobs) as server:
+    with AnalysisServer(cache_dir=args.cache_dir, port=0,
+                        shards=args.shards, workers=args.workers,
+                        max_jobs=max_jobs) as server:
         base = server.url
         print(f"http soak: server up at {base} "
               f"({args.shards} shards, max_jobs={max_jobs}/shard)")
@@ -182,6 +182,11 @@ def http_soak(args, names, submit_names, n_dupes, max_jobs) -> int:
                     "artifacts bit-stable vs inline recomputation",
                     f"{stable}/{len(sampled)} byte-identical")
 
+        errors = call(base, "GET", "/metrics")[1]["counters"] \
+            .get("http_conn_errors", 0)
+        ok &= check(errors == 0, "no connection handler died",
+                    f"http_conn_errors={errors}")
+
     if tmp is not None:
         tmp.cleanup()
     rate = len(jobs) / elapsed if elapsed else 0.0
@@ -212,9 +217,8 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="CI mode: 60 programs, 2 workers")
     ap.add_argument("--http", action="store_true",
-                    help="drive the population through the sharded "
-                         "asyncio HTTP server instead of a bare "
-                         "scheduler")
+                    help="drive the population through the HTTP server "
+                         "instead of a bare scheduler")
     ap.add_argument("--shards", type=int, default=2,
                     help="server shards in --http mode (default: 2)")
     ap.add_argument("--http-timeout", type=float, default=600.0,

@@ -382,45 +382,32 @@ def cmd_batch(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .service import AnalysisServer, AsyncAnalysisServer
-    kwargs = dict(cache_dir=args.cache_dir, workers=args.workers,
-                  host=args.host, port=args.port,
-                  quiet=not args.verbose,
-                  inject=args.inject,
-                  default_deadline_s=args.default_deadline,
-                  max_jobs=args.max_jobs,
-                  max_queue=args.max_queue,
-                  allow_faults=(True if args.allow_faults else None))
-    if args.shards >= 1:
-        # Scale-out mode: asyncio front end over key-sharded pools.
-        server = AsyncAnalysisServer(shards=args.shards, **kwargs)
-    else:
-        # --shards 0: the legacy thread-per-connection single-pool server.
-        server = AnalysisServer(**kwargs)
+    import threading
+    from .service import AnalysisServer
+    server = AnalysisServer(
+        cache_dir=args.cache_dir, workers=args.workers,
+        host=args.host, port=args.port, quiet=not args.verbose,
+        inject=args.inject, default_deadline_s=args.default_deadline,
+        max_jobs=args.max_jobs, max_queue=args.max_queue,
+        allow_faults=(True if args.allow_faults else None),
+        shards=args.shards)
     if args.inject:
         print(f"[chaos] fault injection active: {args.inject}", flush=True)
     elif args.allow_faults:
         print("[chaos] per-request fault directives allowed", flush=True)
-    if args.shards >= 1:
-        # The async server binds inside serve_forever; start the loop in
-        # a background thread so the bound URL (port 0 included) is
-        # printable before blocking.
-        server.start()
-        print(f"analysis service listening on {server.url} "
-              f"({args.shards} shards)", flush=True)
-    else:
-        print(f"analysis service listening on {server.url}", flush=True)
+    # The server binds inside its event loop; start the loop in a
+    # background thread so the bound URL (port 0 included) is printable
+    # before blocking.
+    server.start()
+    print(f"analysis service listening on {server.url} "
+          f"({args.shards} shards)", flush=True)
     print("  POST /jobs {\"workload\": \"mdg\"}   GET /jobs/<id>")
     print("  GET /jobs/<id>/events  (progress; SSE with "
           "Accept: text/event-stream)")
     print("  GET /artifacts/<key>   GET /corpus   GET /metrics")
     print("  GET /trace/<job_id>    (per-job span trace)", flush=True)
     try:
-        if args.shards >= 1:
-            import threading
-            threading.Event().wait()      # serve from the started thread
-        else:
-            server.serve_forever()
+        threading.Event().wait()          # serve from the started thread
     except KeyboardInterrupt:
         print("\nshutting down")
         server.stop()
@@ -520,6 +507,13 @@ def cmd_advise(args) -> int:
     for line in report_lines(advise(program, plan)):
         print(line)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _engine_flag(p: argparse.ArgumentParser) -> None:
@@ -704,10 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "request sets no deadline_s option")
     p.add_argument("--max-jobs", type=int, default=1024,
                    help="finished-job retention cap (oldest evicted)")
-    p.add_argument("--shards", type=int, default=2,
+    p.add_argument("--shards", type=_positive_int, default=2,
                    help="worker pools sharded by artifact content key "
-                        "behind the asyncio front end (default 2; 0 = "
-                        "legacy thread-per-connection single-pool server)")
+                        "(>= 1; default 2)")
     p.add_argument("--max-queue", type=int, metavar="M",
                    help="per-shard admission cap on in-flight jobs; "
                         "excess new work is shed with 429 + Retry-After "

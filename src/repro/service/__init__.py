@@ -2,10 +2,12 @@
 
 Turns the library into a multi-client Explorer service: a
 content-addressed :class:`ArtifactStore` memoizes every analysis
-product, a :class:`BatchScheduler` fans requests across a process pool
-(deduped, crash-retried, deterministic), and :class:`AnalysisServer`
-exposes it all over a stdlib-only JSON HTTP API so many clients share
-one warm cache.
+product, the :class:`BatchScheduler` routes requests by content key
+across N >= 1 process-pool shards (deduped, crash-retried,
+deterministic), and the :class:`AnalysisServer` exposes it all over a
+stdlib-only asyncio JSON HTTP API so many clients share one warm cache.
+One scheduler class and one server class: ``repro serve``, ``repro
+batch`` and the scripts differ only in the shard count they pass.
 """
 
 from .artifacts import (SCHEMA_VERSION, ArtifactStore, artifact_key,
@@ -18,10 +20,9 @@ from .jobs import (DONE, FAILED, MAX_OPS_CAP, MAX_SLICE_TARGETS,
                    SUBMITTED, AnalysisRequest, Job, execute_request,
                    semantic_options, session_snapshot, validate_options)
 from .metrics import ServiceMetrics
-from .scheduler import (BatchScheduler, QueueFull, ShardedScheduler,
-                        request_key, run_sequential, shard_of)
+from .scheduler import (BatchScheduler, QueueFull, request_key,
+                        run_sequential, shard_of)
 from .server import AnalysisServer, AnalysisService
-from .aserver import AsyncAnalysisServer
 
 __all__ = [
     "SCHEMA_VERSION", "ArtifactStore", "artifact_key", "canonical_json",
@@ -32,7 +33,7 @@ __all__ = [
     "AnalysisRequest", "Job", "execute_request", "semantic_options",
     "session_snapshot", "validate_options",
     "ServiceMetrics",
-    "BatchScheduler", "QueueFull", "ShardedScheduler", "request_key",
-    "run_sequential", "shard_of",
-    "AnalysisServer", "AnalysisService", "AsyncAnalysisServer",
+    "BatchScheduler", "QueueFull", "request_key", "run_sequential",
+    "shard_of",
+    "AnalysisServer", "AnalysisService",
 ]

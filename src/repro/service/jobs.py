@@ -493,7 +493,7 @@ class Job:
         self.request = request
         self.key = key
         self.state = SUBMITTED
-        #: Worker-pool shard this job was routed to (None = unsharded).
+        #: Ordinal of the scheduler shard this job was routed to.
         self.shard: Optional[int] = None
         #: Seq-numbered lifecycle events for the streaming API.  Guarded
         #: by ``_events_lock`` — HTTP/SSE threads read while scheduler

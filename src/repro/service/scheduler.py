@@ -1,22 +1,28 @@
-"""Process-pool batch scheduler for analysis requests.
+"""The job scheduler: one content-key router over N >= 1 pool shards.
 
 Astrée-style observation (Monniaux, cs/0701191): static-analysis
 pipelines fan out cleanly across workers when each unit of work is a
 pure function of its inputs and results merge deterministically.  Each
-:class:`~repro.service.jobs.AnalysisRequest` here is exactly that, so the
-scheduler can:
+:class:`~repro.service.jobs.AnalysisRequest` here is exactly that, so
+:class:`BatchScheduler` — the one scheduler behind ``repro serve``,
+``repro batch`` and every script — routes each request by its sha256
+content key (:func:`shard_of`) to one of ``shards`` private pool shards,
+and each shard can:
 
 * fan requests across a ``concurrent.futures.ProcessPoolExecutor``,
-* **dedupe** identical in-flight requests (same content key → same Job),
-* serve repeats straight from the :class:`ArtifactStore`,
+* **dedupe** identical in-flight requests (same content key → same
+  shard → same Job),
+* serve repeats straight from the shared :class:`ArtifactStore`,
 * **retry** jobs whose worker process died (``BrokenProcessPool``) on a
   rebuilt pool — with jittered exponential backoff, up to
   ``max_retries`` attempts,
 * stay **deterministic**: a batch produces artifacts bit-identical to
   running the same requests sequentially in one process, regardless of
-  worker count or completion order (results are keyed, not ordered).
+  shard count, worker count or completion order (results are keyed,
+  not ordered).
 
-Robustness layer (the parts that make "heavy traffic" survivable):
+Robustness layer (the parts that make "heavy traffic" survivable), all
+per shard:
 
 * **Deadlines** — ``options["deadline_s"]`` (or the scheduler-wide
   ``default_deadline_s``) bounds a job's wall time across all attempts.
@@ -33,7 +39,7 @@ Robustness layer (the parts that make "heavy traffic" survivable):
   redispatched against the one fresh pool instead of triggering a
   rebuild storm.
 * **Circuit breaker** — after ``breaker_threshold`` consecutive pool
-  breakages the scheduler stops feeding the pool and runs jobs inline
+  breakages the shard stops feeding its pool and runs jobs inline
   (degraded but alive — process-killing/-stalling fault directives are
   neutralized outside pool workers, so an injected crash/hang cannot
   take out the serving process the fallback exists to protect); after
@@ -51,13 +57,14 @@ Robustness layer (the parts that make "heavy traffic" survivable):
   path above increments a taxonomy metrics counter and emits a tracer
   event.
 
-``inline=True`` bypasses the pool and executes synchronously in-process —
-the reference behaviour the determinism tests compare against, and the
-sensible mode on single-core hosts.
+``inline=True`` bypasses the pools and executes synchronously
+in-process — the sensible mode on single-core hosts; the determinism
+tests compare every mode against :func:`run_sequential`.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
@@ -126,111 +133,113 @@ def request_key(request: AnalysisRequest) -> str:
     return key
 
 
-_worker_codegen_root: Optional[str] = None
-_worker_proc_root: Optional[str] = None
+def _register_cache_stores(root: str) -> None:
+    """Point this process's transpiler and per-procedure analysis
+    caches at the ``codegen/`` and ``proc/`` subtrees of the job store
+    rooted at ``root``."""
+    from ..analysis.incremental import set_proc_store
+    from ..runtime.transpile import set_codegen_store
+    set_codegen_store(ArtifactStore(os.path.join(root, "codegen")))
+    set_proc_store(ArtifactStore(os.path.join(root, "proc")))
 
 
-def _ensure_codegen_store(root: Optional[str]) -> None:
-    """Point this process's transpiler at the scheduler's persistent
-    codegen cache (worker processes have their own module globals, so
-    the registration the scheduler did does not carry over the fork)."""
-    global _worker_codegen_root
-    if root and root != _worker_codegen_root:
-        from ..runtime.transpile import set_codegen_store
-        set_codegen_store(ArtifactStore(root))
-        _worker_codegen_root = root
+def _execute_enveloped(request: AnalysisRequest,
+                       trace_ctx: Optional[Dict], **job_tags) -> Dict:
+    """Run one request and return its envelope
+    ``{artifact, error, spans, codegen, proc}``.
+
+    A raised exception is *returned* as ``error`` (``artifact`` is then
+    None), so the cache deltas and spans of a failed run are not lost.
+    ``spans`` is only populated when a trace context was given (the run
+    then happens under a child tracer whose ``job`` root parents onto
+    the scheduler's ``submit`` span); ``codegen`` and ``proc`` carry
+    this request's hit/miss deltas of the transpiled-kernel and
+    per-procedure analysis caches for the scheduler's metrics."""
+    from ..analysis.incremental import proc_cache_stats
+    from ..runtime.transpile import codegen_cache_stats
+    codegen_before = codegen_cache_stats()
+    proc_before = proc_cache_stats()
+    artifact = error = spans = None
+    try:
+        if trace_ctx is None:
+            artifact = execute_request(request)
+        else:
+            tracer = Tracer.from_context(trace_ctx)
+            try:
+                with activate(tracer), \
+                        tracer.span("job", target=request.describe(),
+                                    **job_tags):
+                    artifact = execute_request(request)
+            finally:
+                spans = tracer.to_dicts()
+    except Exception as exc:                   # noqa: BLE001
+        error = exc
+    return {"artifact": artifact, "error": error, "spans": spans,
+            "codegen": _stats_delta(codegen_before, codegen_cache_stats()),
+            "proc": _stats_delta(proc_before, proc_cache_stats())}
 
 
-def _ensure_proc_store(root: Optional[str]) -> None:
-    """Same registration dance for the per-procedure analysis cache."""
-    global _worker_proc_root
-    if root and root != _worker_proc_root:
-        from ..analysis.incremental import set_proc_store
-        set_proc_store(ArtifactStore(root))
-        _worker_proc_root = root
+_worker_store_root: Optional[str] = None
 
 
-def _pool_worker(request_dict: Dict,
-                 trace_context: Optional[Dict] = None,
-                 codegen_root: Optional[str] = None,
-                 proc_root: Optional[str] = None) -> Dict:
-    """Top-level (picklable) worker entry point.
-
-    Returns an envelope ``{artifact, spans, codegen, proc}``: spans are
-    only populated when a trace context was shipped (the worker then
-    builds a child tracer whose root parents onto the scheduler's
-    ``submit`` span), while ``codegen`` and ``proc`` carry this
-    request's cache hit/miss deltas (transpiled-kernel and
-    per-procedure analysis caches) for the scheduler's metrics."""
+def _pool_worker(request_dict: Dict, trace_context: Optional[Dict],
+                 store_root: Optional[str]) -> Dict:
+    """Top-level (picklable) worker entry point: the envelope of
+    :func:`_execute_enveloped`, with a failure re-raised so it reaches
+    the scheduler as the future's exception."""
     # This process is sacrificial: process-killing fault directives are
     # allowed to execute here (and *only* here — inline execution in the
     # scheduler/server process neutralizes them).
     mark_worker_process()
-    _ensure_codegen_store(codegen_root)
-    _ensure_proc_store(proc_root)
-    from ..analysis.incremental import proc_cache_stats
-    from ..runtime.transpile import codegen_cache_stats
-    before = codegen_cache_stats()
-    proc_before = proc_cache_stats()
-    request = AnalysisRequest.from_dict(request_dict)
-    spans = None
-    if trace_context is None:
-        artifact = execute_request(request)
-    else:
-        tracer = Tracer.from_context(trace_context)
-        with activate(tracer):
-            with tracer.span("job", target=request.describe()):
-                artifact = execute_request(request)
-        spans = tracer.to_dicts()
-    return {"artifact": artifact, "spans": spans,
-            "codegen": _stats_delta(before, codegen_cache_stats()),
-            "proc": _stats_delta(proc_before, proc_cache_stats())}
+    # Worker processes have their own module globals, so the
+    # registration the scheduler did does not carry over.
+    global _worker_store_root
+    if store_root and store_root != _worker_store_root:
+        _register_cache_stores(store_root)
+        _worker_store_root = store_root
+    envelope = _execute_enveloped(AnalysisRequest.from_dict(request_dict),
+                                  trace_context)
+    if envelope["error"] is not None:
+        raise envelope["error"]
+    return envelope
 
 
-class BatchScheduler:
-    """Submit/queue/run/done-or-failed job management over a process pool."""
+class _PoolShard:
+    """One shard of :class:`BatchScheduler`: submit/queue/run/
+    done-or-failed job management over its own process pool, in-flight
+    table, breaker and watchdog.  ``shard`` is its ordinal in the router
+    (stamped on jobs, ``submit`` span tags and the queue-depth gauge)."""
 
-    def __init__(self, store: Optional[ArtifactStore] = None, *,
-                 metrics: ServiceMetrics = NULL_METRICS,
-                 workers: Optional[int] = None,
+    def __init__(self, store: ArtifactStore, shard: int, *,
+                 metrics: ServiceMetrics,
+                 workers: int,
+                 tracer,
+                 fault_plan: Optional[FaultPlan],
                  max_retries: int = 2,
                  inline: bool = False,
-                 tracer=None,
                  max_traces: int = 256,
                  max_jobs: int = 1024,
                  default_deadline_s: Optional[float] = None,
-                 fault_plan: Union[FaultPlan, str, None] = None,
                  breaker_threshold: int = 3,
                  breaker_cooldown_s: float = 30.0,
                  retry_backoff_s: float = 0.05,
                  watchdog_interval_s: float = 0.02,
                  max_queue: Optional[int] = None,
-                 shard: Optional[int] = None,
                  claim_poll_s: float = 0.02):
-        self.store = store if store is not None else ArtifactStore(None)
+        self.store = store
+        self.shard = shard
         self.metrics = metrics
-        # persistent codegen and per-procedure analysis caches ride in
-        # subtrees of the job store; workers point at the same roots via
-        # _ensure_codegen_store / _ensure_proc_store
-        self.codegen_root: Optional[str] = None
-        self.proc_root: Optional[str] = None
-        if self.store.root is not None:
-            from ..analysis.incremental import set_proc_store
-            from ..runtime.transpile import set_codegen_store
-            self.codegen_root = str(self.store.root / "codegen")
-            set_codegen_store(ArtifactStore(self.codegen_root))
-            self.proc_root = str(self.store.root / "proc")
-            set_proc_store(ArtifactStore(self.proc_root))
+        #: Shipped to pool workers, which register the same persistent
+        #: codegen and per-procedure caches the router did.
+        self.store_root = (None if store.root is None
+                           else str(store.root))
         self.workers = workers
         self.max_retries = max_retries
         self.inline = inline
-        #: Span sink; NULL_TRACER keeps every trace path zero-cost-ish.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.max_traces = max(1, max_traces)
         self.max_jobs = max(1, max_jobs)
         self.default_deadline_s = default_deadline_s
-        if isinstance(fault_plan, str):
-            fault_plan = FaultPlan.parse(fault_plan)
         self.fault_plan = fault_plan
         self.breaker_threshold = max(1, breaker_threshold)
         self.breaker_cooldown_s = breaker_cooldown_s
@@ -239,9 +248,6 @@ class BatchScheduler:
         #: Admission cap on new (non-dedupe, non-cached) work in flight;
         #: None = unbounded.  Dedupes and cache hits are always admitted.
         self.max_queue = max_queue
-        #: Shard ordinal when owned by a :class:`ShardedScheduler`
-        #: (stamps jobs, span tags, and the queue-depth gauge name).
-        self.shard = shard
         self.claim_poll_s = claim_poll_s
         self._rng = random.Random(0x5EED)        # retry jitter only
         self._lock = threading.Lock()
@@ -255,15 +261,15 @@ class BatchScheduler:
         self._breaker_failures = 0               # consecutive pool breakages
         self._breaker_open_until: Optional[float] = None   # monotonic
         self._probing = False                    # half-open probe in flight
-        self._watchdog: Optional[threading.Thread] = None
-        self._watchdog_stop = threading.Event()
+        #: name -> background poll thread (deadline watchdog, claim
+        #: waiter); all stop on ``_stop``.
+        self._tickers: Dict[str, threading.Thread] = {}
+        self._stop = threading.Event()
         #: Keys whose cross-process compute claim this scheduler holds
         #: (released when the owning job settles).
         self._claimed: set = set()
         #: job id -> Job parked waiting on another process's claim.
         self._remote_waits: Dict[str, Job] = {}
-        self._claim_waiter: Optional[threading.Thread] = None
-        self._claim_waiter_stop = threading.Event()
         self._shutdown = False
 
     # -- pool lifecycle ----------------------------------------------------
@@ -351,33 +357,27 @@ class BatchScheduler:
         self.metrics.incr("workers_terminated", len(procs))
 
     def shutdown(self, wait: bool = True) -> None:
-        self._watchdog_stop.set()
-        self._claim_waiter_stop.set()
+        self._stop.set()
         with self._lock:
             self._shutdown = True
             self._probing = False
             pool, self._pool = self._pool, None
             timers = dict(self._timers)
             self._timers.clear()
-            waits = list(self._remote_waits.values())
+            stranded = [self._jobs.get(job_id) for job_id in timers]
+            stranded += self._remote_waits.values()
             self._remote_waits.clear()
-            watchdog = self._watchdog
-            claim_waiter = self._claim_waiter
+            tickers = list(self._tickers.values())
         for timer in timers.values():
             timer.cancel()
-        for job_id in timers:
-            job = self.job(job_id)
-            if job is not None and not job.finished:
-                self._fail(job, "scheduler shutdown", "shutdown")
-        for job in waits:
-            if not job.finished:
+        for job in stranded:     # awaiting a retry timer or a remote claim
+            if job is not None:
                 self._fail(job, "scheduler shutdown", "shutdown")
         if pool is not None:
             pool.shutdown(wait=wait)
-        if watchdog is not None and watchdog.is_alive():
-            watchdog.join(timeout=1.0)
-        if claim_waiter is not None and claim_waiter.is_alive():
-            claim_waiter.join(timeout=1.0)
+        for thread in tickers:
+            if thread.is_alive():
+                thread.join(timeout=1.0)
         # Claims this process still holds would read as live (our pid)
         # to other processes until the TTL: release them explicitly.
         with self._lock:
@@ -385,30 +385,29 @@ class BatchScheduler:
         for key in claimed:
             self.store.release(key)
 
-    def __enter__(self) -> "BatchScheduler":
-        return self
+    # -- background pollers ------------------------------------------------
+    def _ensure_ticker(self, name: str, interval_s: float, tick,
+                       error_counter: str) -> None:
+        """Start (once) the daemon thread that calls ``tick`` every
+        ``interval_s`` until shutdown.  It must outlive any single bad
+        job, so a raising tick is counted, not propagated."""
+        def loop() -> None:
+            while not self._stop.wait(interval_s):
+                try:
+                    tick()
+                except Exception:               # noqa: BLE001
+                    self.metrics.incr(error_counter)
 
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    # -- watchdog ----------------------------------------------------------
-    def _ensure_watchdog(self) -> None:
         with self._lock:
-            if self._watchdog is not None or self._shutdown:
+            if name in self._tickers or self._shutdown:
                 return
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop, name="scheduler-watchdog",
-                daemon=True)
-            thread = self._watchdog
+            thread = self._tickers[name] = threading.Thread(
+                target=loop, name=f"scheduler-{name}", daemon=True)
         thread.start()
 
-    def _watchdog_loop(self) -> None:
-        while not self._watchdog_stop.wait(self.watchdog_interval_s):
-            try:
-                self._reap_deadlines()
-            except Exception:                   # noqa: BLE001
-                # The watchdog must outlive any single bad job.
-                self.metrics.incr("watchdog_errors")
+    def _ensure_watchdog(self) -> None:
+        self._ensure_ticker("watchdog", self.watchdog_interval_s,
+                            self._reap_deadlines, "watchdog_errors")
 
     def _reap_deadlines(self) -> None:
         now = time.monotonic()
@@ -444,20 +443,11 @@ class BatchScheduler:
             self._recycle_pool(job.generation, count_breaker=False)
 
     # -- submission --------------------------------------------------------
-    def submit(self, request: AnalysisRequest, *,
-               key: Optional[str] = None) -> Job:
-        """Submit a request; returns a (possibly shared or already-done)
-        Job.  Identical in-flight requests dedupe onto one Job; identical
-        finished requests are served from the artifact store; a key
-        claimed by another server process parks the job on a remote wait
-        instead of recomputing.  Raises :class:`QueueFull` when admission
-        control rejects *new* work (``max_queue``); dedupes and cache
-        hits are always admitted.  ``key=`` skips re-hashing when the
-        caller (shard router) already computed the content key."""
-        with self.tracer.span("submit",
-                              target=request.describe()) as sp:
-            if self.shard is not None:
-                sp.tag(shard=self.shard)
+    def submit(self, request: AnalysisRequest, key: str) -> Job:
+        """Submit a request the router placed here by its content
+        ``key``; see :meth:`BatchScheduler.submit`."""
+        with self.tracer.span("submit", target=request.describe(),
+                              shard=self.shard) as sp:
             if self.fault_plan is not None and \
                     not request.options.get("fault"):
                 directive = self.fault_plan.draw()
@@ -465,8 +455,6 @@ class BatchScheduler:
                     request.options["fault"] = directive
                     self.metrics.incr("faults_injected")
                     sp.tag(fault=directive.split(":", 1)[0])
-            if key is None:
-                key = request_key(request)  # may raise KeyError
             deadline_s = request.options.get("deadline_s",
                                              self.default_deadline_s)
             cached = self.store.get(key)
@@ -528,12 +516,7 @@ class BatchScheduler:
                 self._update_queue_gauge()
                 sp.tag(cache="hit")
                 return job
-            if self.inline:
-                self._run_inline(job)
-            else:
-                if job.deadline_s is not None:
-                    self._ensure_watchdog()
-                self._dispatch(job)
+            self._start(job)
             return job
 
     # -- cross-process single-flight (remote waits) ------------------------
@@ -553,21 +536,9 @@ class BatchScheduler:
         self._ensure_claim_waiter()
 
     def _ensure_claim_waiter(self) -> None:
-        with self._lock:
-            if self._claim_waiter is not None or self._shutdown:
-                return
-            self._claim_waiter = threading.Thread(
-                target=self._claim_waiter_loop,
-                name="scheduler-claim-waiter", daemon=True)
-            thread = self._claim_waiter
-        thread.start()
-
-    def _claim_waiter_loop(self) -> None:
-        while not self._claim_waiter_stop.wait(self.claim_poll_s):
-            try:
-                self._poll_remote_waits()
-            except Exception:                   # noqa: BLE001
-                self.metrics.incr("claim_waiter_errors")
+        self._ensure_ticker("claim-waiter", self.claim_poll_s,
+                            self._poll_remote_waits,
+                            "claim_waiter_errors")
 
     def _poll_remote_waits(self) -> None:
         with self._lock:
@@ -600,12 +571,7 @@ class BatchScheduler:
             self.metrics.incr("jobs_claim_adopted")
             self.tracer.event("claim_adopted", job=job.id,
                               key=job.key[:12])
-            if self.inline:
-                self._run_inline(job)
-            else:
-                if job.deadline_s is not None:
-                    self._ensure_watchdog()
-                self._dispatch(job)
+            self._start(job)
 
     def _finish_remote(self, job: Job) -> None:
         """Settle a remote-wait job whose artifact another process
@@ -627,14 +593,6 @@ class BatchScheduler:
         if held:
             self.store.release(key)
 
-    def batch(self, requests: Sequence[AnalysisRequest],
-              timeout: Optional[float] = None) -> List[Optional[Dict]]:
-        """Submit all requests, wait, and return their artifacts in
-        request order (None for failed jobs)."""
-        jobs = [self.submit(r) for r in requests]
-        self.wait(jobs, timeout=timeout)
-        return [self.artifact(job) for job in jobs]
-
     def _gc_finished_locked(self) -> None:
         """Evict the oldest *finished* jobs past ``max_jobs`` (lock
         held).  Unfinished jobs are never evicted, so the registry can
@@ -649,54 +607,37 @@ class BatchScheduler:
             self.metrics.incr("jobs_evicted")
 
     # -- execution ---------------------------------------------------------
-    def _count_codegen(self, delta: Optional[Dict]) -> None:
-        if not delta:
-            return
-        if delta.get("hit"):
-            self.metrics.incr("codegen_cache_hit", delta["hit"])
-        if delta.get("miss"):
-            self.metrics.incr("codegen_cache_miss", delta["miss"])
+    def _start(self, job: Job) -> None:
+        """Begin executing a job this shard holds the compute claim for."""
+        if self.inline:
+            self._run_inline(job)
+        else:
+            if job.deadline_s is not None:
+                self._ensure_watchdog()
+            self._dispatch(job)
 
-    def _count_proc(self, delta: Optional[Dict]) -> None:
-        if not delta:
-            return
-        if delta.get("hit"):
-            self.metrics.incr("proc_cache_hit", delta["hit"])
-        if delta.get("miss"):
-            self.metrics.incr("proc_cache_miss", delta["miss"])
+    def _absorb(self, job: Job, envelope: Dict) -> None:
+        """Fold an execution envelope's side channels into this shard:
+        the per-job trace and the cache hit/miss deltas."""
+        self._record_trace(job, envelope["spans"])
+        for cache in ("codegen", "proc"):
+            for outcome in ("hit", "miss"):
+                count = envelope[cache].get(outcome)
+                if count:
+                    self.metrics.incr(f"{cache}_cache_{outcome}", count)
 
     def _run_inline(self, job: Job) -> None:
-        from ..analysis.incremental import proc_cache_stats
-        from ..runtime.transpile import codegen_cache_stats
         job.mark_running()
-        job_tracer: Optional[Tracer] = None
-        if self.tracer.enabled:
-            job_tracer = Tracer.from_context(self.tracer.export_context())
-        cg_before = codegen_cache_stats()
-        proc_before = proc_cache_stats()
-        try:
-            with self.metrics.time_phase("execute"):
-                if job_tracer is not None:
-                    with activate(job_tracer), \
-                            job_tracer.span("job", job=job.id,
-                                            target=job.request.describe()):
-                        artifact = execute_request(job.request)
-                else:
-                    artifact = execute_request(job.request)
-        except Exception as exc:               # noqa: BLE001
-            self._count_codegen(_stats_delta(cg_before,
-                                             codegen_cache_stats()))
-            self._count_proc(_stats_delta(proc_before, proc_cache_stats()))
-            if job_tracer is not None:
-                self._record_trace(job, job_tracer.to_dicts())
-            self._finish_failed(job, exc)
+        trace_ctx = (self.tracer.export_context()
+                     if self.tracer.enabled else None)
+        with self.metrics.time_phase("execute"):
+            envelope = _execute_enveloped(job.request, trace_ctx,
+                                          job=job.id)
+        self._absorb(job, envelope)
+        if envelope["error"] is not None:
+            self._finish_failed(job, envelope["error"])
         else:
-            self._count_codegen(_stats_delta(cg_before,
-                                             codegen_cache_stats()))
-            self._count_proc(_stats_delta(proc_before, proc_cache_stats()))
-            if job_tracer is not None:
-                self._record_trace(job, job_tracer.to_dicts())
-            self._finish_done(job, artifact)
+            self._finish_done(job, envelope["artifact"])
 
     def _dispatch(self, job: Job) -> None:
         if job.finished:
@@ -716,19 +657,17 @@ class BatchScheduler:
             pool, gen = self._get_pool()
             job.generation = gen
             future = pool.submit(_pool_worker, job.request.to_dict(),
-                                 trace_ctx, self.codegen_root,
-                                 self.proc_root)
+                                 trace_ctx, self.store_root)
         except (BrokenExecutor, RuntimeError) as exc:
             self._handle_crash(job, exc, gen)
             return
         with self._lock:
             self._futures[job.id] = future
-        traced = trace_ctx is not None
         future.add_done_callback(
-            lambda f, j=job, g=gen, t=traced: self._on_done(j, f, g, t))
+            lambda f, j=job, g=gen: self._on_done(j, f, g))
 
-    def _on_done(self, job: Job, future, gen: Optional[int] = None,
-                 traced: bool = False) -> None:
+    def _on_done(self, job: Job, future,
+                 gen: Optional[int] = None) -> None:
         with self._lock:
             self._futures.pop(job.id, None)
             # Any pooled future settling settles the half-open probe
@@ -741,12 +680,9 @@ class BatchScheduler:
         except CancelledError:
             return              # deadline-cancelled before it started
         if exc is None:
-            result = future.result()
-            if traced:
-                self._record_trace(job, result.get("spans") or [])
-            self._count_codegen(result.get("codegen"))
-            self._count_proc(result.get("proc"))
-            self._finish_done(job, result["artifact"], pooled=True)
+            envelope = future.result()
+            self._absorb(job, envelope)
+            self._finish_done(job, envelope["artifact"], pooled=True)
         elif isinstance(exc, BrokenExecutor):
             self.metrics.incr("futures_broken")
             self._handle_crash(job, exc, gen)
@@ -880,20 +816,18 @@ class BatchScheduler:
         return True
 
     def _update_queue_gauge(self) -> None:
-        with self._lock:
-            depth = len(self._inflight)
-        # Per-shard gauge names: N shard schedulers share one metrics
-        # sink, so a single "queue_depth" would be clobbered racily.
-        name = ("queue_depth" if self.shard is None
-                else f"queue_depth_shard_{self.shard}")
-        self.metrics.gauge(name, depth)
+        # Per-shard gauge names: the shards share one metrics sink, so
+        # a single "queue_depth" would be clobbered racily.
+        self.metrics.gauge(f"queue_depth_shard_{self.shard}",
+                           self.queue_depth())
 
     def queue_depth(self) -> int:
         with self._lock:
             return len(self._inflight)
 
     # -- traces ------------------------------------------------------------
-    def _record_trace(self, job: Job, spans: List[Dict]) -> None:
+    def _record_trace(self, job: Job,
+                      spans: Optional[List[Dict]]) -> None:
         """Keep a bounded per-job trace, reattach the spans onto the
         scheduler's own tracer, and fold them into per-phase metrics."""
         if not spans:
@@ -918,7 +852,108 @@ class BatchScheduler:
 
     def jobs(self) -> List[Job]:
         with self._lock:
-            return sorted(self._jobs.values(), key=lambda j: j.id)
+            return list(self._jobs.values())
+
+
+def shard_of(key: str, nshards: int) -> int:
+    """Shard placement by content key: the leading 64 bits of the
+    sha256 are uniform, so a plain modulus balances shards and keeps
+    every request for one key on one shard (per-shard dedupe and
+    single-flight then compose to global dedupe)."""
+    return int(key[:16], 16) % nshards
+
+
+class BatchScheduler:
+    """The scheduler: ``shards`` >= 1 independent pool shards routed by
+    content key.
+
+    Each shard owns its own process pool, in-flight table, breaker, and
+    watchdog; a request's sha256 content key picks its shard, so
+    identical requests always meet in the same in-flight table (dedupe
+    stays exact) while unrelated traffic stops contending on one
+    scheduler lock and one pool queue.  The artifact store (and its
+    cross-process claim tree), the metrics sink, the tracer and the
+    seeded fault plan are shared by all shards.
+
+    ``workers`` is the pool size *per shard* (default: the host's cores
+    split across the shards).  ``shard_options`` configure every shard
+    alike: ``inline``, ``max_retries``, ``max_traces``, ``max_jobs``,
+    ``default_deadline_s``, ``max_queue``, ``breaker_threshold``,
+    ``breaker_cooldown_s``, ``retry_backoff_s``,
+    ``watchdog_interval_s``, ``claim_poll_s``."""
+
+    def __init__(self, store: Optional[ArtifactStore] = None, *,
+                 shards: int = 1,
+                 workers: Optional[int] = None,
+                 metrics: ServiceMetrics = NULL_METRICS,
+                 tracer=None,
+                 fault_plan: Union[FaultPlan, str, None] = None,
+                 **shard_options):
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        self.store = store if store is not None else ArtifactStore(None)
+        if self.store.root is not None:
+            _register_cache_stores(str(self.store.root))
+        self.metrics = metrics
+        #: Span sink; NULL_TRACER keeps every trace path zero-cost-ish.
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        if workers is None:
+            # Split the host's cores across the shard pools instead of
+            # oversubscribing cpu_count() workers per shard.
+            workers = max(1, (os.cpu_count() or 2) // shards)
+        if isinstance(fault_plan, str):
+            fault_plan = FaultPlan.parse(fault_plan)
+        #: One shared (seeded) fault plan: draws follow submission
+        #: order, so single-threaded chaos harnesses stay deterministic
+        #: regardless of which shard each request routes to.
+        self.fault_plan = fault_plan
+        self.shards = [
+            _PoolShard(self.store, i, metrics=metrics, workers=workers,
+                       tracer=self.tracer, fault_plan=fault_plan,
+                       **shard_options)
+            for i in range(shards)
+        ]
+
+    def submit(self, request: AnalysisRequest) -> Job:
+        """Submit a request; returns a (possibly shared or already-done)
+        Job.  Identical in-flight requests dedupe onto one Job; identical
+        finished requests are served from the artifact store; a key
+        claimed by another server process parks the job on a remote wait
+        instead of recomputing.  Raises :class:`QueueFull` when admission
+        control rejects *new* work (``max_queue``, per shard); dedupes
+        and cache hits are always admitted.  Raises ``KeyError`` for an
+        unknown workload name."""
+        key = request_key(request)
+        return self.shards[shard_of(key, len(self.shards))].submit(
+            request, key)
+
+    def batch(self, requests: Sequence[AnalysisRequest],
+              timeout: Optional[float] = None) -> List[Optional[Dict]]:
+        """Submit all requests, wait, and return their artifacts in
+        request order (None for failed jobs)."""
+        jobs = [self.submit(r) for r in requests]
+        self.wait(jobs, timeout=timeout)
+        return [self.artifact(job) for job in jobs]
+
+    # -- fan-in queries ----------------------------------------------------
+    def job(self, job_id: str) -> Optional[Job]:
+        for shard in self.shards:
+            job = shard.job(job_id)
+            if job is not None:
+                return job
+        return None
+
+    def jobs(self) -> List[Job]:
+        return sorted((job for shard in self.shards
+                       for job in shard.jobs()), key=lambda j: j.id)
+
+    def trace(self, job_id: str) -> Optional[List[Dict]]:
+        """The recorded spans for one job, or None if not traced/evicted."""
+        for shard in self.shards:
+            spans = shard.trace(job_id)
+            if spans is not None:
+                return spans
+        return None
 
     def artifact(self, job: Job) -> Optional[Dict]:
         if job.state != "done":
@@ -939,129 +974,21 @@ class BatchScheduler:
                 return False
         return True
 
-
-def shard_of(key: str, nshards: int) -> int:
-    """Shard placement by content key: the leading 64 bits of the
-    sha256 are uniform, so a plain modulus balances shards and keeps
-    every request for one key on one shard (per-shard dedupe and
-    single-flight then compose to global dedupe)."""
-    return int(key[:16], 16) % nshards
-
-
-class ShardedScheduler:
-    """N independent :class:`BatchScheduler` pools routed by content key.
-
-    Each shard owns its own process pool, in-flight table, breaker, and
-    watchdog; a request's sha256 content key picks its shard, so
-    identical requests always meet in the same in-flight table (dedupe
-    stays exact) while unrelated traffic stops contending on one
-    scheduler lock and one pool queue.  The artifact store (and its
-    cross-process claim tree) is shared by all shards."""
-
-    def __init__(self, store: Optional[ArtifactStore] = None, *,
-                 shards: int = 2,
-                 workers: Optional[int] = None,
-                 metrics: ServiceMetrics = NULL_METRICS,
-                 fault_plan: Union[FaultPlan, str, None] = None,
-                 **scheduler_kwargs):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.store = store if store is not None else ArtifactStore(None)
-        self.metrics = metrics
-        self.nshards = shards
-        if workers is None:
-            # Split the host's cores across the shard pools instead of
-            # oversubscribing cpu_count() workers per shard.
-            import os as _os
-            workers = max(1, (_os.cpu_count() or 2) // shards)
-        if isinstance(fault_plan, str):
-            fault_plan = FaultPlan.parse(fault_plan)
-        #: One shared (seeded) fault plan: draws follow submission
-        #: order, so single-threaded chaos harnesses stay deterministic
-        #: regardless of which shard each request routes to.
-        self.fault_plan = fault_plan
-        self.shards = [
-            BatchScheduler(self.store, metrics=metrics, workers=workers,
-                           fault_plan=fault_plan, shard=i,
-                           **scheduler_kwargs)
-            for i in range(shards)
-        ]
-        self.inline = self.shards[0].inline
-        self.default_deadline_s = self.shards[0].default_deadline_s
-        self.max_jobs = self.shards[0].max_jobs
-
-    # -- routing -----------------------------------------------------------
-    def shard_for(self, key: str) -> BatchScheduler:
-        return self.shards[shard_of(key, self.nshards)]
-
-    def submit(self, request: AnalysisRequest, *,
-               key: Optional[str] = None) -> Job:
-        if key is None:
-            key = request_key(request)
-        return self.shard_for(key).submit(request, key=key)
-
-    def batch(self, requests: Sequence[AnalysisRequest],
-              timeout: Optional[float] = None) -> List[Optional[Dict]]:
-        jobs = [self.submit(r) for r in requests]
-        self.wait(jobs, timeout=timeout)
-        return [self.artifact(job) for job in jobs]
-
-    # -- fan-in queries ----------------------------------------------------
-    def job(self, job_id: str) -> Optional[Job]:
-        for shard in self.shards:
-            job = shard.job(job_id)
-            if job is not None:
-                return job
-        return None
-
-    def jobs(self) -> List[Job]:
-        out: List[Job] = []
-        for shard in self.shards:
-            out.extend(shard.jobs())
-        return sorted(out, key=lambda j: j.id)
-
-    def trace(self, job_id: str) -> Optional[List[Dict]]:
-        for shard in self.shards:
-            spans = shard.trace(job_id)
-            if spans is not None:
-                return spans
-        return None
-
-    def artifact(self, job: Job) -> Optional[Dict]:
-        if job.state != "done":
-            return None
-        return self.store.get(job.key)
-
-    def wait(self, jobs: Sequence[Job],
-             timeout: Optional[float] = None) -> bool:
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        for job in jobs:
-            remain = None
-            if deadline is not None:
-                remain = max(0.0, deadline - time.monotonic())
-            if not job.wait(remain):
-                return False
-        return True
-
-    def queue_depth(self) -> int:
-        return sum(shard.queue_depth() for shard in self.shards)
-
     def shard_stats(self) -> List[Dict]:
         """Per-shard occupancy for ``GET /metrics`` (each depth read
         under that shard's lock)."""
-        return [{"shard": i,
+        return [{"shard": shard.shard,
                  "queue_depth": shard.queue_depth(),
                  "jobs": len(shard.jobs()),
                  "workers": shard.workers}
-                for i, shard in enumerate(self.shards)]
+                for shard in self.shards]
 
     # -- lifecycle ---------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
         for shard in self.shards:
             shard.shutdown(wait=wait)
 
-    def __enter__(self) -> "ShardedScheduler":
+    def __enter__(self) -> "BatchScheduler":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -219,10 +219,10 @@ def test_chrome_export_schema_is_valid():
 def test_chrome_export_names_shard_lanes():
     """Submit spans tagged with a shard id surface as named lanes in
     the Chrome export, so per-shard load reads off the timeline."""
-    from repro.service import ArtifactStore, ShardedScheduler
+    from repro.service import ArtifactStore
     tracer = Tracer()
-    with ShardedScheduler(ArtifactStore(None), shards=2, inline=True,
-                          tracer=tracer) as sched:
+    with BatchScheduler(ArtifactStore(None), shards=2, inline=True,
+                        tracer=tracer) as sched:
         jobs = [sched.submit(AnalysisRequest(n))
                 for n in ("ora", "track", "ear")]
         assert sched.wait(jobs, timeout=120)

@@ -404,18 +404,19 @@ def test_half_open_admits_exactly_one_probe():
     probe dispatch; concurrent dispatches keep degrading inline until
     the probe settles, so a burst cannot storm a possibly-bad pool."""
     with BatchScheduler(ArtifactStore(None), workers=1) as sched:
+        shard, = sched.shards
         # force the breaker open with an already-expired cooldown
-        with sched._lock:
-            sched._breaker_open_until = time.monotonic() - 1.0
-        assert sched._pool_allowed() is True      # the one probe
-        assert sched._pool_allowed() is False     # everyone else: inline
-        assert sched._pool_allowed() is False
+        with shard._lock:
+            shard._breaker_open_until = time.monotonic() - 1.0
+        assert shard._pool_allowed() is True      # the one probe
+        assert shard._pool_allowed() is False     # everyone else: inline
+        assert shard._pool_allowed() is False
         # probe settles in breakage: recycle clears the flag and re-arms
-        with sched._lock:
-            gen = sched._generation
-        sched._get_pool()
-        sched._recycle_pool(gen)
-        assert sched._probing is False
+        with shard._lock:
+            gen = shard._generation
+        shard._get_pool()
+        shard._recycle_pool(gen)
+        assert shard._probing is False
 
 
 def test_injected_fault_shares_content_key_with_clean_request():
@@ -509,3 +510,70 @@ def test_batch_determinism_holds_under_crash_and_retry(tmp_path):
     sequential = run_sequential(requests)
     for got, want in zip(pooled, sequential):
         assert canonical_json(got) == canonical_json(want)
+
+
+# -- the job lifecycle under chaos, through the HTTP server ------------------
+
+_CHAOS_NAMES = ["ora", "track", "ear", "doduc", "dyfesm",
+                "synth/s0-alias", "synth/s0-call", "synth/s0-deep"]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 23])
+def test_every_job_reaches_exactly_one_terminal_state_under_chaos(
+        tmp_path, seed):
+    """Seeded crashes and transient faults over a 2-shard pool server:
+    every job's event stream is gapless and ends in exactly one terminal
+    event, the /metrics taxonomies add up, and shutdown leaks neither a
+    claim file nor a pool worker."""
+    import multiprocessing
+    import random
+    import re
+    cache = tmp_path / "cache"
+    before = {p.pid for p in multiprocessing.active_children()}
+    rng = random.Random(seed)
+    with AnalysisServer(cache_dir=str(cache), workers=2, shards=2,
+                        inject=f"crash=0.3,transient=0.2,seed={seed}",
+                        default_deadline_s=120.0) as server:
+        max_attempts = server.service.scheduler.shards[0].max_retries + 1
+        job_ids = set()
+        for _ in range(40):              # duplicates: dedupe + cache hits
+            status, out = _call(server, "POST", "/jobs",
+                                {"workload": rng.choice(_CHAOS_NAMES)})
+            assert status == 202, out
+            job_ids.add(out["job"]["id"])
+        for job_id in sorted(job_ids):
+            _poll_job(server, job_id)
+            status, out = _call(server, "GET", f"/jobs/{job_id}/events")
+            assert status == 200 and out["finished"]
+            events = out["events"]
+            assert [e["seq"] for e in events] == \
+                list(range(1, len(events) + 1))
+            names = " ".join(e["event"] for e in events)
+            assert re.fullmatch(
+                r"submitted( queued( running){1,%d})? (done|failed)"
+                % max_attempts, names), (job_id, names)
+        status, snap = _call(server, "GET", "/metrics")
+        counters = snap["counters"]
+        assert counters["faults_injected"] > 0   # the plan actually fired
+        assert counters["jobs_submitted"] == len(job_ids) == (
+            counters.get("jobs_completed", 0)
+            + counters.get("jobs_failed", 0)
+            + counters.get("jobs_served_cached", 0))
+        assert sum(v for k, v in counters.items()
+                   if k.startswith("failures_")
+                   and k != "failures_total") == \
+            counters.get("failures_total", 0) == \
+            counters.get("jobs_failed", 0)
+        assert counters.get("http_conn_errors", 0) == 0
+        workers = {p.pid for p in multiprocessing.active_children()} \
+            - before
+        assert workers                           # the pools really ran
+    assert not list(cache.rglob("*.claim"))
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        leaked = {p.pid for p in multiprocessing.active_children()} \
+            - before
+        if not leaked:
+            break
+        time.sleep(0.05)
+    assert not leaked, f"pool workers outlived stop(): {leaked}"

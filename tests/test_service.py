@@ -225,13 +225,14 @@ def test_warm_repeat_transpiled_job_skips_codegen(tmp_path):
 def test_scheduler_dedupes_identical_inflight_requests(monkeypatch):
     metrics = ServiceMetrics()
     sched = BatchScheduler(ArtifactStore(None), metrics=metrics)
-    monkeypatch.setattr(sched, "_dispatch", lambda job: None)  # hold queued
+    shard, = sched.shards
+    monkeypatch.setattr(shard, "_dispatch", lambda job: None)  # hold queued
     a = sched.submit(AnalysisRequest("ora"))
     b = sched.submit(AnalysisRequest("ora"))
     assert a is b
     assert metrics.counter("jobs_deduped") == 1
     assert metrics.counter("jobs_submitted") == 1
-    sched._finish_done(a, {"stub": True})            # release
+    shard._finish_done(a, {"stub": True})            # release
     c = sched.submit(AnalysisRequest("ora"))
     assert c is not a and c.cached
 
@@ -299,7 +300,7 @@ def test_warm_batch_is_all_cache_hits(tmp_path):
 
 @pytest.fixture(scope="module")
 def server():
-    with AnalysisServer(inline=True) as srv:       # port 0 → ephemeral
+    with AnalysisServer(inline=True, shards=2) as srv:  # port 0 → ephemeral
         yield srv
 
 
@@ -596,11 +597,11 @@ def test_shard_of_is_deterministic_and_in_range():
 
 
 def test_sharded_scheduler_routes_dedupes_and_merges(tmp_path):
-    from repro.service import ShardedScheduler, request_key, shard_of
+    from repro.service import request_key, shard_of
     metrics = ServiceMetrics()
     store = ArtifactStore(tmp_path, metrics=metrics)
-    with ShardedScheduler(store, shards=2, metrics=metrics,
-                          inline=True) as sched:
+    with BatchScheduler(store, shards=2, metrics=metrics,
+                        inline=True) as sched:
         reqs = [AnalysisRequest(n) for n in ("ora", "track", "ear")]
         jobs = [sched.submit(r) for r in reqs]
         assert sched.wait(jobs, timeout=300)
@@ -627,11 +628,10 @@ def test_sharded_scheduler_routes_dedupes_and_merges(tmp_path):
 
 
 def test_sharded_artifacts_bit_identical_to_sequential(tmp_path):
-    from repro.service import ShardedScheduler
     reqs = [AnalysisRequest(n) for n in SMALL[:3]]
     expected = run_sequential([AnalysisRequest(n) for n in SMALL[:3]])
-    with ShardedScheduler(ArtifactStore(tmp_path), shards=3,
-                          inline=True) as sched:
+    with BatchScheduler(ArtifactStore(tmp_path), shards=3,
+                        inline=True) as sched:
         got = sched.batch(reqs, timeout=600)
     for art, ref in zip(got, expected):
         assert canonical_json(art) == canonical_json(ref)
@@ -719,59 +719,51 @@ def test_full_jobs_reuse_proc_cache_across_schedulers(tmp_path):
         == canonical_json(ref)
 
 
-# -- asyncio front end --------------------------------------------------------
+# -- shards, progress events and shedding over HTTP ---------------------------
 
-@pytest.fixture(scope="module")
-def aserver():
-    from repro.service import AsyncAnalysisServer
-    with AsyncAnalysisServer(inline=True, shards=2) as srv:
-        yield srv
-
-
-def test_async_server_api_is_byte_compatible(aserver):
-    status, out = _call(aserver, "GET", "/healthz")
+def test_async_server_api_is_byte_compatible(server):
+    status, out = _call(server, "GET", "/healthz")
     assert (status, out) == (200, {"ok": True})
-    status, out = _call(aserver, "POST", "/jobs", {"workload": "ora"})
+    status, out = _call(server, "POST", "/jobs", {"workload": "ora"})
     assert status == 202
     job = out["job"]
     assert job["state"] == "done" and job["shard"] in (0, 1)
-    status, out = _call(aserver, "GET", f"/jobs/{job['id']}")
+    status, out = _call(server, "GET", f"/jobs/{job['id']}")
     assert status == 200 and out["artifact_ready"]
-    status, art = _call(aserver, "GET", f"/artifacts/{job['key']}")
+    status, art = _call(server, "GET", f"/artifacts/{job['key']}")
     assert status == 200 and art["execution"]["speedup"] > 1.0
-    status, out = _call(aserver, "GET", "/corpus")
+    status, out = _call(server, "GET", "/corpus")
     assert status == 200
     assert {"mdg", "hydro", "ora"} <= {w["name"] for w in out["workloads"]}
-    status, out = _call(aserver, "GET", "/metrics")
+    status, out = _call(server, "GET", "/metrics")
     assert status == 200 and "cache_hit_rate" in out
     assert [s["shard"] for s in out["shards"]] == [0, 1]
-    # error paths behave like the threaded server
-    assert _call(aserver, "GET", "/jobs/job-999999")[0] == 404
-    assert _call(aserver, "GET", "/no/such/route")[0] == 404
-    status, out = _call(aserver, "POST", "/jobs", {"workload": "nope"})
+    assert _call(server, "GET", "/jobs/job-999999")[0] == 404
+    assert _call(server, "GET", "/no/such/route")[0] == 404
+    status, out = _call(server, "POST", "/jobs", {"workload": "nope"})
     assert status == 400 and "unknown workload" in out["error"]
 
 
-def test_async_server_events_snapshot_and_after(aserver):
-    status, out = _call(aserver, "POST", "/jobs", {"workload": "track"})
+def test_async_server_events_snapshot_and_after(server):
+    status, out = _call(server, "POST", "/jobs", {"workload": "track"})
     assert status == 202
     jid = out["job"]["id"]
-    status, out = _call(aserver, "GET", f"/jobs/{jid}/events")
+    status, out = _call(server, "GET", f"/jobs/{jid}/events")
     assert status == 200 and out["finished"]
     names = [e["event"] for e in out["events"]]
     assert names[0] == "submitted" and names[-1] in ("done", "failed")
     seq = out["events"][1]["seq"]
-    status, out = _call(aserver, "GET",
+    status, out = _call(server, "GET",
                         f"/jobs/{jid}/events?after={seq}")
     assert status == 200
     assert all(e["seq"] > seq for e in out["events"])
 
 
-def test_async_server_streams_sse_events(aserver):
+def test_async_server_streams_sse_events(server):
     import http.client
-    status, out = _call(aserver, "POST", "/jobs", {"workload": "ora"})
+    status, out = _call(server, "POST", "/jobs", {"workload": "ora"})
     jid = out["job"]["id"]
-    conn = http.client.HTTPConnection(aserver.host, aserver.port,
+    conn = http.client.HTTPConnection(server.host, server.port,
                                       timeout=30)
     try:
         conn.request("GET", f"/jobs/{jid}/events",
@@ -793,9 +785,7 @@ def test_async_server_streams_sse_events(aserver):
 
 def test_async_server_sheds_with_429_and_retry_after():
     import http.client
-    from repro.service import AsyncAnalysisServer
-    with AsyncAnalysisServer(inline=True, shards=2,
-                             max_queue=0) as srv:
+    with AnalysisServer(inline=True, shards=2, max_queue=0) as srv:
         conn = http.client.HTTPConnection(srv.host, srv.port,
                                           timeout=30)
         try:
@@ -810,3 +800,105 @@ def test_async_server_sheds_with_429_and_retry_after():
         finally:
             conn.close()
         assert srv.service.metrics.counter("shed_total") == 1
+
+
+# -- the HTTP boundary --------------------------------------------------------
+
+def _raw_exchange(server, payload: bytes, timeout: float = 30.0):
+    """Send raw bytes on a fresh socket; return ``(status, headers,
+    body)`` of the first response (a reset after a complete response is
+    the server closing on unread input, not a failure)."""
+    import socket
+    data = b""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=timeout) as sock:
+        sock.sendall(payload)
+        while True:
+            head, sep, rest = data.partition(b"\r\n\r\n")
+            if sep:
+                lines = head.decode("latin-1").split("\r\n")
+                headers = {k.strip().lower(): v.strip() for k, _, v in
+                           (line.partition(":") for line in lines[1:])}
+                if len(rest) >= int(headers["content-length"]):
+                    break
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                chunk = b""
+            assert chunk, f"connection closed mid-response: {data!r}"
+            data += chunk
+    status = int(lines[0].split(" ", 2)[1])
+    return status, headers, rest[:int(headers["content-length"])]
+
+
+def _post_bytes(body: bytes, *extra_headers: str,
+                length: object = None) -> bytes:
+    head = ["POST /jobs HTTP/1.1", "Host: x",
+            f"Content-Length: {len(body) if length is None else length}",
+            *extra_headers]
+    return "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body
+
+
+_DEEP = b'{"workload": "ora", "options": ' + b"[" * 200_000 + \
+    b"]" * 200_000 + b"}"
+
+_MALFORMED = {
+    # name: (raw request bytes, expected status, connection closes)
+    "deep-json": (_post_bytes(_DEEP), 400, False),
+    "bad-length": (_post_bytes(b"{}", length="abc"), 400, True),
+    "negative-length": (_post_bytes(b"{}", length=-5), 400, True),
+    "chunked": (b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"12\r\n{\"workload\": \"ora\"}\r\n0\r\n\r\n", 411, True),
+    "stalled-body": (_post_bytes(b'{"work', length=100), 408, True),
+    "non-utf8": (_post_bytes(b'{"workload": "\xff\xfe"}'), 400, False),
+    "oversize": (_post_bytes(b"", length=5 * 1024 * 1024), 413, True),
+    "bad-method": (b"PUT /jobs HTTP/1.1\r\nHost: x\r\n"
+                   b"Content-Length: 0\r\n\r\n", 405, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_http_boundary_rejects_malformed_requests(server, monkeypatch,
+                                                  case):
+    """Every malformed request ends in a 4xx with a JSON error body —
+    never a 5xx, an empty reply or a held connection — and the server
+    keeps answering afterwards."""
+    from repro.service import server as server_mod
+    monkeypatch.setattr(server_mod, "_BODY_TIMEOUT_S", 0.3)
+    payload, want, closes = _MALFORMED[case]
+    errors_before = server.service.metrics.counter("http_conn_errors")
+    status, headers, body = _raw_exchange(server, payload)
+    assert status == want and 400 <= status < 500
+    assert headers["content-type"] == "application/json"
+    assert json.loads(body)["error"]
+    assert (headers["connection"] == "close") == closes
+    assert _call(server, "GET", "/healthz") == (200, {"ok": True})
+    assert server.service.metrics.counter("http_conn_errors") == \
+        errors_before
+
+
+def test_idle_keep_alive_connection_outlives_the_body_timeout(
+        server, monkeypatch):
+    """The body timeout bounds a *declared body*, never the idle gap
+    between two requests on one keep-alive connection."""
+    import http.client
+    import time
+    from repro.service import server as server_mod
+    monkeypatch.setattr(server_mod, "_BODY_TIMEOUT_S", 0.1)
+    conn = http.client.HTTPConnection(server.host, server.port,
+                                      timeout=30)
+    try:
+        socks = []
+        for _ in range(2):
+            conn.request("POST", "/jobs",
+                         body=json.dumps({"workload": "ora"}),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 202
+            resp.read()
+            socks.append(conn.sock)
+            time.sleep(0.3)                   # idle past the body timeout
+        assert socks[0] is socks[1]           # never reconnected
+    finally:
+        conn.close()
