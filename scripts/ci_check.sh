@@ -25,7 +25,9 @@
 #      (e.g. `REPRO_SYNTH_N=500 python scripts/soak_check.py`),
 #   6. the incremental-analysis gate (a one-procedure edit on the
 #      deepest call graphs invalidates exactly its dependency cone,
-#      with warm/cold bit parity and a no-op hot re-run),
+#      with warm/cold bit parity and a no-op hot re-run; and an
+#      analysis-only run after a full job into an empty store is all
+#      hits, bit-identical to cold — the two job kinds share one driver),
 #   7. the service concurrency gates: the BENCH_service.json contracts
 #      (warm POST /jobs throughput at 16 clients within 20% of its
 #      baseline; a cold 64-client same-key storm across two server
@@ -58,7 +60,7 @@ echo "== [5/7] generated-corpus gates (synth parity slice + quick soak) =="
 REPRO_SYNTH_N=50 python -m pytest tests/test_synth_corpus.py -q
 python scripts/soak_check.py --quick
 
-echo "== [6/7] incremental-analysis gate (cone invalidation + parity) =="
+echo "== [6/7] incremental-analysis gate (cone invalidation + parity + full-job/analysis cross-path) =="
 python scripts/incr_check.py
 
 echo "== [7/7] service concurrency gates (warm throughput + single-flight storm + HTTP soak) =="

@@ -17,7 +17,13 @@ deepest call graphs in the corpus):
      JSON) to a cold run on the edited bytes: caching is invisible in
      the payload,
    * **hot stability** — a second run of the unchanged edited source
-     recomputes nothing at all.
+     recomputes nothing at all,
+
+4. cross-path parity: run a *full* job (``execute_request``) into an
+   empty store, then an analysis-only run against it must be served
+   entirely from what the full job wrote — every procedure's rows
+   reused, zero ``incr.cone`` spans — and be byte-identical to a cold
+   run: both job kinds plan through the one ``IncrementalAnalyzer``.
 
 Exit code 0 = all contracts hold on every workload.  This is CI gate 6
 (``bash scripts/ci_check.sh``); run it standalone with::
@@ -33,10 +39,11 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis.incremental import (IncrementalAnalyzer,  # noqa: E402
-                                        IncrementalKeys)
+                                        IncrementalKeys, set_proc_store)
 from repro.ir import build_program  # noqa: E402
 from repro.obs import Tracer, activate  # noqa: E402
 from repro.service.artifacts import ArtifactStore, canonical_json  # noqa: E402
+from repro.service.jobs import AnalysisRequest, execute_request  # noqa: E402
 from repro.workloads import get  # noqa: E402
 
 DEFAULT_WORKLOADS = "mdg,hydro,hydro2d"
@@ -69,7 +76,7 @@ def run_workload(name: str, root: str) -> bool:
     w = get(name)
     program = build_program(w.source, w.name)
     store = ArtifactStore(os.path.join(root, name))
-    _analyze(w.source, w.name, store)
+    baseline, _, _ = _analyze(w.source, w.name, store)
 
     victim = list(program.procedures)[-1]
     at = program.procedures[victim].source_lines.start
@@ -102,6 +109,19 @@ def run_workload(name: str, root: str) -> bool:
     ok &= check(recomputed == set()
                 and canonical_json(hot) == canonical_json(cold),
                 f"{name}: hot re-run recomputes nothing")
+
+    full_store = ArtifactStore(os.path.join(root, name + "-full"))
+    set_proc_store(full_store)
+    try:
+        execute_request(AnalysisRequest(name))
+    finally:
+        set_proc_store(None)
+    after_full, recomputed, reused = _analyze(w.source, w.name, full_store)
+    ok &= check(recomputed == set() and reused == set(program.procedures)
+                and canonical_json(after_full) == canonical_json(baseline),
+                f"{name}: analysis after a full job is all hits, "
+                "bit-identical to cold",
+                f"recomputed={sorted(recomputed)}")
     return ok
 
 

@@ -27,12 +27,18 @@ hit, announced via ``incr.reuse`` events while recomputation is wrapped
 in ``incr.cone`` spans (the cache-invalidation matrix test counts both).
 
 Cones are evaluated bottom-up over call-graph SCCs (singletons here —
-the IR rejects recursion — but the order generalizes), and independent
-cones can be fanned out onto a process pool (``workers=``): Chatterjee
-et al.'s on-demand data-flow results ground both halves, and determinism
-is preserved because every cached artifact is a pure function of its key
+the IR rejects recursion — but the order generalizes), following
+Chatterjee et al.'s on-demand data-flow split, and determinism is
+preserved because every cached artifact is a pure function of its key
 — a warm re-analysis is bit-identical to a cold one
 (``tests/test_incremental.py`` proves this corpus-wide).
+
+:class:`IncrementalAnalyzer` is the one static-analysis driver of a
+job: it owns the job's single lazy ``Parallelizer``, built from the
+same normalised options its keys hash, and it is the only writer of the
+``proc/`` store — ``analysis_only`` jobs (:meth:`~IncrementalAnalyzer.
+plan_rows`) and full jobs (:meth:`~IncrementalAnalyzer.plan`) fill and
+read the same entries through the same code.
 
 Cached plan rows are keyed by loop *ordinal* within the procedure, never
 by loop name: unlabeled loop names embed absolute line numbers
@@ -62,13 +68,9 @@ __all__ = [
 #: Bumped whenever the per-procedure payload layout or key recipe
 #: changes — stale ``proc/`` entries then miss instead of being misread.
 #: Independent of the whole-job ``artifacts.SCHEMA_VERSION``.
-PROC_SCHEMA_VERSION = 1
-
-#: Option keys that influence static-analysis results (everything else —
-#: engine, machine, inputs, max_ops — is execution-side and must NOT
-#: fragment the per-procedure cache).
-ANALYSIS_OPTION_KEYS = ("use_liveness", "liveness_variant",
-                       "use_reductions")
+#: v2: v1 full jobs could store default-option rows under a
+#: non-default option key.
+PROC_SCHEMA_VERSION = 2
 
 _lock = threading.Lock()
 _proc_store = None
@@ -309,6 +311,10 @@ class IncrementalKeys:
         self.commons = common_signatures(program)
         self.cones = ConeIndex(program)
         opts = options or {}
+        #: The analysis-semantic options, normalised — what the keys hash
+        #: and what the analyzer's parallelizer is built from.  Everything
+        #: else (engine, machine, inputs, max_ops) is execution-side and
+        #: must not fragment the per-procedure cache.
         self.options = {
             "use_liveness": bool(opts.get("use_liveness", True)),
             "liveness_variant": str(opts.get("liveness_variant", FULL)),
@@ -526,23 +532,6 @@ def _canonical(payload) -> str:
     return canonical_json(payload)
 
 
-def _plan_value_payload(keys: "IncrementalKeys", name: str,
-                        value_hash) -> Dict:
-    """The second-level plan key's payload (see
-    :meth:`IncrementalAnalyzer.plan_value_key`); ``value_hash(proc)``
-    supplies the canonical summary content hash of a callee."""
-    down = keys.cones.down(name)
-    after = keys.cones.after(name)
-    return {
-        "kind": "plan.v", "proc": name,
-        "source": keys.hashes[name],
-        "deps": {q: value_hash(q) for q in down if q != name},
-        "after": {q: keys.hashes[q] for q in sorted(after)},
-        "commons": keys._commons_for(keys.cones.cone(name)),
-        "options": keys.options,
-    }
-
-
 def summary_from_json(data: List):
     from .summaries import AccessSummary, VarSummary
     vars_: Dict[Tuple, object] = {}
@@ -558,69 +547,39 @@ def summary_from_json(data: List):
     return AccessSummary(vars_)
 
 
-def attach_summary_cache(parallelizer, source: str, *,
-                         options: Optional[Dict] = None,
-                         store=None) -> Optional["IncrementalAnalyzer"]:
-    """Attach the shared ``proc/`` summary + after-context caches to a
-    *lazy* parallelizer owned by someone else (e.g. a full
-    execution/profiling job's :class:`ExplorerSession`), so cross-*job*
-    analysis reuse is not limited to ``analysis_only`` requests.
-
-    Returns the backing analyzer, or None when there is nothing to
-    attach to: no proc store registered, an eager parallelizer (its
-    walks already ran in ``__init__``), or hooks already in place."""
-    if store is None:
-        store = get_proc_store()
-    if store is None or not getattr(parallelizer, "lazy", False):
-        return None
-    if parallelizer.dataflow.summary_loader is not None:
-        return None
-    analyzer = IncrementalAnalyzer(parallelizer.program, source,
-                                   options=options, store=store)
-    analyzer._parallelizer = parallelizer
-    analyzer.attach(parallelizer)
-    return analyzer
-
-
-# -- fan-out worker (top-level: must be picklable under spawn) ---------------
-
-def _compute_proc_rows(source: str, program_name: str, options: Dict,
-                       names: List[str], root: str) -> Dict[str, List]:
-    """Child-process entry point: recompute the plan rows of ``names``
-    (one independent cone group, bottom-up order) and write them through
-    the shared disk store at ``root``."""
-    from ..ir import build_program
-    from ..service.artifacts import ArtifactStore
-    program = build_program(source, program_name)
-    analyzer = IncrementalAnalyzer(program, source, options=options,
-                                   store=ArtifactStore(root))
-    return {name: analyzer._compute_and_store(name) for name in names}
-
-
 # -- the analyzer -------------------------------------------------------------
 
 class IncrementalAnalyzer:
-    """Demand-driven static analysis with per-procedure cone caching.
+    """The one static-analysis driver of a job: demand-driven analysis
+    with per-procedure cone caching.
 
-    Drives a *lazy* :class:`~repro.parallelize.parallelizer.Parallelizer`
-    so a cache miss on one procedure pulls in exactly that procedure's
-    cone, and answers plan and slice queries from the ``proc/`` store
-    whenever the cone is unchanged."""
+    Owns the job's single *lazy*
+    :class:`~repro.parallelize.parallelizer.Parallelizer` — built from
+    the same normalised options the cache keys hash, so what is planned
+    and what it is stored under cannot disagree — and is the only code
+    that reads or writes the ``proc/`` store.  A cache miss on one
+    procedure pulls in exactly that procedure's cone; plan-row and slice
+    queries are answered from the store whenever the cone is unchanged,
+    and :meth:`plan` hands a full session its ``ProgramPlan`` while
+    writing the same entries through."""
 
     def __init__(self, program: Program, source: str, *,
                  options: Optional[Dict] = None, store=None):
         self.program = program
-        self.source = source
-        self.options = dict(options or {})
-        if store is None:
+        if store is None and not program.transformed:
+            # a transformed program no longer is what its text says, so
+            # it never touches the shared, text-keyed store
             store = get_proc_store()
+        #: Whether ``store`` outlives this analyzer.  Without one the
+        #: analysis is still demand-driven, but nothing is serialised:
+        #: the summary / after-context hooks stay off and :meth:`plan`
+        #: writes no rows.
+        self._shared = store is not None
         if store is None:
-            # private, memory-only fallback: demand-driven but not
-            # persistent (no store registered)
             from ..service.artifacts import ArtifactStore
             store = ArtifactStore(None)
         self.store = store
-        self.keys = IncrementalKeys(program, source, self.options)
+        self.keys = IncrementalKeys(program, source, options)
         self._parallelizer = None
         self._proc_plans: Dict[str, Dict] = {}
         self._slicer = None
@@ -628,32 +587,34 @@ class IncrementalAnalyzer:
         self._value_keys: Dict[str, str] = {}
 
     # -- lazy analysis plumbing ---------------------------------------------
-    def attach(self, parallelizer) -> None:
-        """Wire this analyzer's ``proc/`` caches into a *lazy*
-        parallelizer's hooks (loaders must be in place before anything
-        forces a walk — eager construction walks in ``__init__``)."""
-        # summary cache: procedures that only participate as callees
-        # load flat ⟨R,E,W,M⟩ summaries instead of re-walking their
-        # bodies — the dominant cost of a warm-edit re-analysis
-        parallelizer.dataflow.summary_loader = self._load_summary
-        parallelizer.dataflow.summary_saver = self._save_summary
-        # after-proc cache: liveness context without re-walking the
-        # caller chain (only meaningful for the FULL variant)
-        full = parallelizer._full_liveness_analysis
-        full.after_loader = self._load_after
-        full.after_saver = self._save_after
+    def _new_parallelizer(self, assertions=()):
+        """The one place a job constructs a ``Parallelizer``.  Assertions
+        mutate the planning inputs, so an asserted parallelizer analyses
+        fresh: it neither reads nor feeds the shared caches."""
+        from ..parallelize.parallelizer import Parallelizer
+        o = self.keys.options
+        par = Parallelizer(self.program,
+                           use_reductions=o["use_reductions"],
+                           use_liveness=o["use_liveness"],
+                           liveness_variant=o["liveness_variant"],
+                           assertions=assertions, lazy=True)
+        if self._shared and not assertions:
+            # loaders must be in place before anything forces a walk.
+            # summary cache: procedures that only participate as callees
+            # load flat ⟨R,E,W,M⟩ summaries instead of re-walking their
+            # bodies — the dominant cost of a warm-edit re-analysis
+            par.dataflow.summary_loader = self._load_summary
+            par.dataflow.summary_saver = self._save_summary
+            # after-proc cache: liveness context without re-walking the
+            # caller chain (only meaningful for the FULL variant)
+            full = par._full_liveness_analysis
+            full.after_loader = self._load_after
+            full.after_saver = self._save_after
+        return par
 
     def _lazy_parallelizer(self):
         if self._parallelizer is None:
-            from ..parallelize.parallelizer import Parallelizer
-            o = self.keys.options
-            self._parallelizer = Parallelizer(
-                self.program,
-                use_reductions=o["use_reductions"],
-                use_liveness=o["use_liveness"],
-                liveness_variant=o["liveness_variant"],
-                lazy=True)
-            self.attach(self._parallelizer)
+            self._parallelizer = self._new_parallelizer()
         return self._parallelizer
 
     def _load_summary(self, name: str):
@@ -723,8 +684,17 @@ class IncrementalAnalyzer:
         cheaper than the dependence tests planning would re-run."""
         got = self._value_keys.get(name)
         if got is None:
-            got = self.keys._key(_plan_value_payload(
-                self.keys, name, self._summary_value_hash))
+            keys = self.keys
+            got = keys._key({
+                "kind": "plan.v", "proc": name,
+                "source": keys.hashes[name],
+                "deps": {q: self._summary_value_hash(q)
+                         for q in keys.cones.down(name) if q != name},
+                "after": {q: keys.hashes[q]
+                          for q in sorted(keys.cones.after(name))},
+                "commons": keys._commons_for(keys.cones.cone(name)),
+                "options": keys.options,
+            })
             self._value_keys[name] = got
         return got
 
@@ -738,18 +708,18 @@ class IncrementalAnalyzer:
         return got
 
     # -- plan rows -----------------------------------------------------------
-    def plan_rows(self, workers: int = 0) -> Dict[str, List]:
+    def _bottom_up(self) -> List[str]:
+        return [n for comp in self.keys.cones.scc_bottom_up() for n in comp]
+
+    def plan_rows(self) -> Dict[str, List]:
         """Per-procedure plan rows (loop-ordinal order), served from the
         cone cache; misses are recomputed bottom-up over call-graph
-        SCCs, optionally fanning independent cone groups out onto
-        ``workers`` processes."""
+        SCCs."""
         from ..obs import get_tracer
         tracer = get_tracer()
-        order = [n for comp in self.keys.cones.scc_bottom_up()
-                 for n in comp]
         rows: Dict[str, List] = {}
         missed: List[str] = []
-        for name in order:
+        for name in self._bottom_up():
             key = self.keys.plan_key(name)
             cached = self.store.get(key)
             if cached is not None:
@@ -772,15 +742,14 @@ class IncrementalAnalyzer:
                 continue
             _count("miss")
             missed.append(name)
-        if len(missed) > 1 and workers and workers > 1 \
-                and self.store.root is not None:
-            rows.update(self._fan_out(missed, workers))
-        else:
-            for name in missed:
-                rows[name] = self._compute_and_store(name)
+        for name in missed:
+            rows[name] = self._plan_proc(name)
+            self._store_rows(name, rows[name])
         return rows
 
-    def _compute_and_store(self, name: str) -> List:
+    def _plan_proc(self, name: str) -> List:
+        """Plan one procedure's loops under an ``incr.cone`` span and
+        return their rows."""
         from ..obs import get_tracer
         cone = self.keys.cones.cone(name)
         with get_tracer().span("incr.cone", proc=name, kind="plan") as sp:
@@ -789,72 +758,40 @@ class IncrementalAnalyzer:
             rows = [_plan_row(plans[loop.stmt_id])
                     for loop in proc.loops()]
             sp.tag(cone=len(cone), loops=len(rows))
-        self.store.put(self.keys.plan_key(name), {"rows": rows})
-        self.store.put(self.plan_value_key(name), {"rows": rows})
         return rows
 
-    def _fan_out(self, missed: List[str], workers: int) -> Dict[str, List]:
-        """Recompute missed cones on a spawn pool, one independent
-        (down-cone-disjoint) group per task; falls back to sequential
-        when everything collapses into one group."""
-        groups = self._independent_groups(missed)
-        if len(groups) <= 1:
-            return {name: self._compute_and_store(name) for name in missed}
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        n = min(workers, len(groups))
-        buckets: List[List[str]] = [[] for _ in range(n)]
-        for i, group in enumerate(groups):
-            buckets[i % n].extend(group)
-        out: Dict[str, List] = {}
-        with ProcessPoolExecutor(
-                max_workers=n, mp_context=mp.get_context("spawn")) as pool:
-            futures = [pool.submit(_compute_proc_rows, self.source,
-                                   self.program.name, self.options,
-                                   bucket, str(self.store.root))
-                       for bucket in buckets if bucket]
-            for future in futures:
-                out.update(future.result())
-        from ..obs import get_tracer
-        tracer = get_tracer()
-        for name in missed:
-            # children trace into the void; reattach one span per cone
-            # so warm-vs-cold accounting stays span-count exact
-            with tracer.span("incr.cone", proc=name, kind="plan",
-                             pooled=True) as sp:
-                sp.tag(cone=len(self.keys.cones.cone(name)))
-            # refresh the parent's memory LRU from the shared disk tree
-            self.store.get(self.keys.plan_key(name))
-        return out
+    def _store_rows(self, name: str, rows: List) -> None:
+        """The one writer of plan rows: under the source-cone key and
+        the value-level key."""
+        self.store.put(self.keys.plan_key(name), {"rows": rows})
+        self.store.put(self.plan_value_key(name), {"rows": rows})
 
-    def _independent_groups(self, names: List[str]) -> List[List[str]]:
-        """Union-find over down-cone overlap: procedures whose cones
-        share a member recompute shared summaries, so they stay in one
-        group (one process); disjoint groups fan out."""
-        parent = {n: n for n in names}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: str, b: str) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        owner: Dict[str, str] = {}
-        for n in names:
-            for q in self.keys.cones.down(n):
-                if q in owner:
-                    union(n, owner[q])
-                else:
-                    owner[q] = n
-        groups: Dict[str, List[str]] = {}
-        for n in names:          # preserves bottom-up order within groups
-            groups.setdefault(find(n), []).append(n)
-        return list(groups.values())
+    def plan(self, assertions=(), procs: Optional[Iterable[str]] = None):
+        """The :class:`~repro.parallelize.plan.ProgramPlan` a full session
+        runs on — every procedure, or just ``procs``.  A session needs
+        live ``LoopPlan`` objects, so each procedure is planned (one
+        ``incr.cone`` span each, callees first) rather than served from
+        cached rows; what a warm store saves it is the after-context
+        walks.  The rows, summaries and liveness contexts are written
+        through to a shared store by the same code :meth:`plan_rows`
+        uses, so a later ``analysis_only`` job — or an edit elsewhere —
+        starts hot.  Asserted plans analyse fresh and are never
+        written."""
+        from ..parallelize.plan import ProgramPlan
+        wanted = set(self.program.procedures if procs is None else procs)
+        in_order = [n for n in self.program.procedures if n in wanted]
+        if assertions:
+            return self._new_parallelizer(assertions).plan_for(in_order)
+        for name in self._bottom_up():
+            if name in wanted:
+                rows = self._plan_proc(name)
+                if self._shared and \
+                        self.keys.plan_key(name) not in self.store:
+                    self._store_rows(name, rows)
+        result = ProgramPlan(self.program)
+        for name in in_order:
+            result.loops.update(self._loop_plans(name))
+        return result
 
     # -- IR facts ------------------------------------------------------------
     def proc_facts(self, name: str) -> Dict:
@@ -920,8 +857,7 @@ class IncrementalAnalyzer:
         return per_var
 
     # -- the analysis-only artifact ---------------------------------------------
-    def analysis_artifact(self, slice_names: Sequence[str] = (),
-                          workers: int = 0) -> Dict:
+    def analysis_artifact(self, slice_names: Sequence[str] = ()) -> Dict:
         """The static analysis artifact: program facts, the full plan
         (cached rows reattached to fresh loop names), per-procedure IR
         facts, cone keys, and any requested demand slices.  Bit-identical
@@ -931,7 +867,7 @@ class IncrementalAnalyzer:
         from ..obs import get_tracer
         program = self.program
         with get_tracer().span("analyze", program=program.name) as sp:
-            rows_by_proc = self.plan_rows(workers=workers)
+            rows_by_proc = self.plan_rows()
             plan: Dict[str, Dict] = {}
             for proc in program.procedures.values():
                 for loop, row in zip(proc.loops(),
@@ -956,54 +892,30 @@ class IncrementalAnalyzer:
 
 def store_plan_rows(program: Program, source: str, options: Optional[Dict],
                     plan, dataflow=None, after_summaries=None) -> int:
-    """Write-through from a *full* pipeline run: warm the per-procedure
-    cache with the plan's rows so a later ``analysis_only`` job (or an
-    edit to an unrelated procedure) starts hot.  When the run's walked
-    ``dataflow`` is supplied, its ⟨R,E,W,M⟩ summaries, their content
-    hashes, and the value-level plan keys are written through as well;
-    ``after_summaries`` (``proc -> AccessSummary``, from the FULL
+    """Write-through of an externally computed ``plan`` (jobs themselves
+    go through :meth:`IncrementalAnalyzer.plan`): warm the per-procedure
+    cache with its rows so a later ``analysis_only`` job (or an edit to
+    an unrelated procedure) starts hot.  The run's walked ``dataflow``
+    supplies the ⟨R,E,W,M⟩ summaries (and so the content hashes the
+    value-level plan keys need) — without it the analyzer derives them
+    on demand; ``after_summaries`` (``proc -> AccessSummary``, from the FULL
     liveness pass) warms the after-proc cache.  No-op without a
     registered store; returns the number of procedures stored."""
-    store = get_proc_store()
-    if store is None:
+    if get_proc_store() is None:
         return 0
-    keys = IncrementalKeys(program, source, options)
-    summaries = dict(dataflow.proc_summary) if dataflow is not None else {}
-    hashes: Dict[str, str] = {}
-
-    def value_hash(q: str) -> str:
-        got = hashes.get(q)
-        if got is None:
-            got = _sha(_canonical(summary_to_json(summaries[q], q)))
-            hashes[q] = got
-        return got
-
+    analyzer = IncrementalAnalyzer(program, source, options=options)
+    if dataflow is not None:
+        for name, summary in dataflow.proc_summary.items():
+            analyzer._save_summary(name, summary)
+    for name, summary in (after_summaries or {}).items():
+        analyzer._save_after(name, summary)
     stored = 0
     for proc in program.procedures.values():
-        key = keys.plan_key(proc.name)
-        if key in store:
+        if analyzer.keys.plan_key(proc.name) in analyzer.store:
             continue
-        rows = []
-        for loop in proc.loops():
-            lp = plan.loops.get(loop.stmt_id)
-            if lp is None:
-                return stored      # partial plan: don't cache half-truths
-            rows.append(_plan_row(lp))
-        store.put(key, {"rows": rows})
-        if proc.name in summaries:
-            skey = keys.summary_key(proc.name)
-            if skey not in store:
-                data = summary_to_json(summaries[proc.name], proc.name)
-                store.put(skey, {"summary": data})
-                store.put(keys.summary_hash_key(proc.name),
-                          {"hash": _sha(_canonical(data))})
-            if all(q in summaries for q in keys.cones.down(proc.name)):
-                store.put(keys._key(_plan_value_payload(
-                    keys, proc.name, value_hash)), {"rows": rows})
-        if after_summaries and proc.name in after_summaries:
-            akey = keys.after_key(proc.name)
-            if akey not in store:
-                store.put(akey, {"after": summary_to_json(
-                    after_summaries[proc.name], proc.name)})
+        loop_plans = [plan.loops.get(loop.stmt_id) for loop in proc.loops()]
+        if None in loop_plans:
+            return stored          # partial plan: don't cache half-truths
+        analyzer._store_rows(proc.name, [_plan_row(lp) for lp in loop_plans])
         stored += 1
     return stored

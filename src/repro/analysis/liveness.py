@@ -42,6 +42,7 @@ from .summaries import (AccessSummary, VarSummary, join, seq_compose,
 FULL = "full"
 ONE_BIT = "one_bit"
 FLOW_INSENSITIVE = "flow_insensitive"
+VARIANTS = (FULL, ONE_BIT, FLOW_INSENSITIVE)
 
 
 class LivenessResult:
@@ -70,7 +71,7 @@ class ArrayLiveness:
 
     def __init__(self, dataflow: ArrayDataFlow, variant: str = FULL,
                  lazy: bool = False):
-        if variant not in (FULL, ONE_BIT, FLOW_INSENSITIVE):
+        if variant not in VARIANTS:
             raise ValueError(f"unknown liveness variant {variant!r}")
         self.dataflow = dataflow
         self.program = dataflow.program

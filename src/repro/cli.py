@@ -130,8 +130,7 @@ def cmd_analyze(args) -> int:
     program = build_program(source, name)
     analyzer = IncrementalAnalyzer(program, source)
     before = proc_cache_stats()
-    artifact = analyzer.analysis_artifact(slice_names=args.slice or (),
-                                          workers=args.workers)
+    artifact = analyzer.analysis_artifact(slice_names=args.slice or ())
     after = proc_cache_stats()
     for loop_name, row in artifact["plan"].items():
         tag = "PARALLEL" if row["parallel"] else "sequential"
@@ -552,8 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "every unchanged dependency cone)")
     p.add_argument("--slice", action="append", metavar="LOOP[@VAR]",
                    help="demand slice query point (repeatable)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="fan independent cones out onto N processes")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="per-variable verdicts")
     p.set_defaults(func=cmd_analyze)

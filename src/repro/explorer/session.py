@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..analysis.liveness import FULL
 from ..ir.program import Program
 from ..ir.statements import LoopStmt
-from ..parallelize.parallelizer import Assertion, Parallelizer
+from ..parallelize.parallelizer import Assertion
 from ..parallelize.plan import DEP, ProgramPlan, VarPlan
 from ..runtime.dyndep import (DynamicDependenceAnalyzer,
                               analyze_dependences, reduction_stmt_ids)
@@ -161,21 +161,26 @@ class ExplorerSession:
                  liveness_variant: str = FULL,
                  max_ops: int = 500_000_000,
                  engine: str = "transpiled",
-                 proc_cache_source: Optional[str] = None):
+                 analyzer=None):
         self.program = program
         self.machine = machine
         self.inputs = inputs
-        self.use_liveness = use_liveness
-        self.liveness_variant = liveness_variant
         self.max_ops = max_ops
         self.engine = engine
-        #: Source text backing ``program``; when set (and a ``proc/``
-        #: store is registered) the static analyses run demand-driven
-        #: against the shared per-procedure summary cache, so repeat
-        #: jobs over the same procedures skip the body walks.
-        self.proc_cache_source = proc_cache_source
+        if analyzer is None:
+            from ..analysis.incremental import IncrementalAnalyzer
+            analyzer = IncrementalAnalyzer(
+                program, program.source_text,
+                options={"use_liveness": use_liveness,
+                         "liveness_variant": liveness_variant})
+        #: The session's one static-analysis driver
+        #: (:class:`~repro.analysis.incremental.IncrementalAnalyzer`):
+        #: every plan this session runs on comes from it, demand-driven
+        #: against the shared ``proc/`` store when one is registered.
+        #: The analysis options live there; ``use_liveness`` /
+        #: ``liveness_variant`` only configure the default one.
+        self.analyzer = analyzer
 
-        self.parallelizer: Optional[Parallelizer] = None
         self.plan: Optional[ProgramPlan] = None
         self.profiler: Optional[LoopProfiler] = None
         self.dyndep: Optional[DynamicDependenceAnalyzer] = None
@@ -196,8 +201,7 @@ class ExplorerSession:
         from ..obs import get_tracer
         tracer = get_tracer()
         with tracer.span("parallelize", program=self.program.name) as sp:
-            self.parallelizer = self._build_parallelizer()
-            self.plan = self.parallelizer.plan()
+            self.plan = self.analyzer.plan(self.assertions)
             sp.tag(parallel_loops=len(self.plan.parallel_loops()))
         self.profiler = profile_program(self.program, self.inputs,
                                         max_ops=self.max_ops,
@@ -228,29 +232,6 @@ class ExplorerSession:
                    engine_variant=self.engine_labels["parallel_exec"])
         return self.result
 
-    def _build_parallelizer(self) -> Parallelizer:
-        """An eager parallelizer, unless cross-job summary reuse is
-        available: with a ``proc_cache_source`` and a registered proc
-        store, a *lazy* parallelizer wired to the shared per-procedure
-        ⟨R,E,W,M⟩-summary and after-context caches plans the same rows
-        while skipping already-cached body walks.  Assertions mutate the
-        planning inputs, so asserted sessions always analyze fresh."""
-        if self.proc_cache_source is not None and not self.assertions:
-            from ..analysis.incremental import attach_summary_cache
-            lazy = Parallelizer(self.program,
-                                use_liveness=self.use_liveness,
-                                liveness_variant=self.liveness_variant,
-                                lazy=True)
-            attached = attach_summary_cache(
-                lazy, self.proc_cache_source,
-                options={"use_liveness": self.use_liveness,
-                         "liveness_variant": self.liveness_variant})
-            if attached is not None:
-                return lazy
-        return Parallelizer(self.program, use_liveness=self.use_liveness,
-                            liveness_variant=self.liveness_variant,
-                            assertions=self.assertions)
-
     def _require_run(self) -> None:
         """Guard for the phase-2 queries that need phase-1 products."""
         if self.plan is None or self.profiler is None:
@@ -280,11 +261,7 @@ class ExplorerSession:
         """
         from ..runtime.par_backend import ParallelRunner
         if self.plan is None:
-            self.parallelizer = Parallelizer(
-                self.program, use_liveness=self.use_liveness,
-                liveness_variant=self.liveness_variant,
-                assertions=self.assertions)
-            self.plan = self.parallelizer.plan()
+            self.plan = self.analyzer.plan(self.assertions)
         runner = ParallelRunner(self.program, self.plan,
                                 workers=workers, **runner_kwargs)
         return runner.execute(self.inputs, max_ops=self.max_ops)
@@ -324,14 +301,9 @@ class ExplorerSession:
                 raise ValueError(
                     f"unknown loop {loop!r}; choose from "
                     f"{self.program.loop_names()}") from None
-        if self.plan is not None and loop.stmt_id in self.plan.loops:
-            loop_plan = self.plan.loops[loop.stmt_id]
-        else:
-            par = Parallelizer(
-                self.program, use_liveness=self.use_liveness,
-                liveness_variant=self.liveness_variant,
-                assertions=self.assertions, lazy=True)
-            loop_plan = par.plan_for([loop.proc_name]).loops[loop.stmt_id]
+        plan = self.plan or self.analyzer.plan(self.assertions,
+                                               procs=[loop.proc_name])
+        loop_plan = plan.loops[loop.stmt_id]
         with get_tracer().span("slice", loop=loop.name) as sp:
             out = dependence_slices(self.program, self.slicer, loop,
                                     loop_plan, var=var)

@@ -44,7 +44,9 @@ CLAIM_GRACE_S = 5.0
 #: then miss (different key) instead of being misread.
 #: v2: demand-driven slicing (``slices`` populated on request instead of
 #: precomputed per Guru target) + the ``proc/`` per-procedure namespace.
-SCHEMA_VERSION = 2
+#: v3: full jobs honour ``use_reductions`` / ``liveness_variant`` (v2
+#: planned them with the defaults yet recorded the option).
+SCHEMA_VERSION = 3
 
 
 def canonical_json(obj) -> str:

@@ -136,13 +136,19 @@ def validate_options(options, *, allow_faults: bool = False) -> Optional[Dict]:
         if not deadline > 0:
             raise ValueError("deadline_s must be positive")
         out["deadline_s"] = deadline
-    for name in ("use_liveness", "assertions", "parallel_execute",
-                 "analysis_only"):
+    for name in ("use_liveness", "use_reductions", "assertions",
+                 "parallel_execute", "analysis_only"):
         if name in out:
             flag = out[name]
             if not isinstance(flag, (bool, int)):
                 raise ValueError(f"{name} must be a boolean")
             out[name] = bool(flag)
+    if "liveness_variant" in out:
+        from ..analysis.liveness import VARIANTS
+        if out["liveness_variant"] not in VARIANTS:
+            raise ValueError(
+                f"unknown liveness_variant {out['liveness_variant']!r}; "
+                f"choose from {list(VARIANTS)}")
     if "workers" in out:
         try:
             workers = int(out["workers"])
@@ -266,18 +272,19 @@ def execute_request(request: AnalysisRequest) -> Dict:
             raise ValueError(f"unknown machine {machine_name!r}; choose "
                              f"from {sorted(MACHINES)}") from None
         program = build_program(r.source, r.program_name)
+        # the job's one static-analysis driver: both branches plan
+        # through it, against the same per-procedure store entries
+        from ..analysis.incremental import IncrementalAnalyzer
+        analyzer = IncrementalAnalyzer(program, r.source, options=r.options)
 
         if r.options.get("analysis_only"):
             # Static pipeline only, served from the per-procedure
             # incremental cache: no execution, profiling, dyndep, or
             # Guru ranking — the interactive edit/re-analyze fast path.
-            from ..analysis.incremental import IncrementalAnalyzer
             slice_names = r.options.get("slice") or ()
             if "targets" in slice_names:
                 raise ValueError("slice 'targets' needs Guru ranking; "
                                  "drop analysis_only or name the loops")
-            analyzer = IncrementalAnalyzer(program, r.source,
-                                           options=r.options)
             artifact = analyzer.analysis_artifact(slice_names=slice_names)
             artifact["request"] = {"program": r.program_name,
                                    "workload": request.workload,
@@ -291,13 +298,8 @@ def execute_request(request: AnalysisRequest) -> Dict:
         max_ops = min(int(r.options.get("max_ops", MAX_OPS_CAP)),
                       MAX_OPS_CAP)
         session = ExplorerSession(
-            program, inputs=r.inputs, machine=machine,
-            use_liveness=r.options["use_liveness"],
-            max_ops=max_ops,
-            engine=r.options["engine"],
-            # cross-job reuse: execution/profiling jobs consult the same
-            # per-procedure summary cache the analysis_only path fills
-            proc_cache_source=r.source)
+            program, inputs=r.inputs, machine=machine, max_ops=max_ops,
+            engine=r.options["engine"], analyzer=analyzer)
         session.run_automatic()
 
         outcomes = []
@@ -317,18 +319,6 @@ def execute_request(request: AnalysisRequest) -> Dict:
             workers = min(int(r.options.get("workers", 2)),
                           MAX_WORKERS_CAP)
             parallel_run = session.parallel_execute(workers=workers)
-
-        if not outcomes:
-            # Warm the per-procedure incremental cache from this full
-            # run (assertions mutate the plan, so asserted plans stay
-            # out of the shared per-proc namespace).
-            from ..analysis.incremental import store_plan_rows
-            par = session.parallelizer
-            store_plan_rows(
-                program, r.source, r.options, session.plan,
-                dataflow=par.dataflow if par is not None else None,
-                after_summaries=(par._full_liveness_analysis._after_proc
-                                 if par is not None else None))
 
         slice_names = list(r.options.get("slice") or ())
         if "targets" in slice_names:
@@ -464,13 +454,6 @@ def session_snapshot(session,
                       "outputs": [float(v) for v in result.outputs]},
         "summary": session.summary_lines(),
     }
-
-
-def _maybe_inject_fault(options: Dict) -> None:
-    """Back-compat alias: the crash hook grew into the full fault
-    harness in :mod:`repro.service.faults`."""
-    from .faults import apply_request_fault
-    apply_request_fault(options)
 
 
 # -- the job record -----------------------------------------------------------

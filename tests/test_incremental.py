@@ -36,11 +36,10 @@ def _no_global_proc_store():
     set_proc_store(None)
 
 
-def _analyze(source, name, store, slice_names=(), workers=0):
+def _analyze(source, name, store, slice_names=()):
     program = build_program(source, name)
     analyzer = IncrementalAnalyzer(program, source, store=store)
-    return analyzer.analysis_artifact(slice_names=slice_names,
-                                      workers=workers)
+    return analyzer.analysis_artifact(slice_names=slice_names)
 
 
 def _traced_analyze(source, name, store, slice_names=()):
@@ -304,37 +303,48 @@ def test_service_option_validation():
         validate_options({"slice": [f"l{i}" for i in range(17)]})
     with pytest.raises(ValueError, match="slice"):
         validate_options({"slice": 7})
+    with pytest.raises(ValueError, match="use_reductions must be a boolean"):
+        validate_options({"use_reductions": "no"})
+    with pytest.raises(ValueError, match="liveness_variant.*'one_bit'"):
+        validate_options({"liveness_variant": "onebit"})
+    assert validate_options({"use_reductions": 0,
+                             "liveness_variant": "one_bit"}) == \
+        {"use_reductions": False, "liveness_variant": "one_bit"}
     with pytest.raises(ValueError, match="Guru"):
         execute_request(AnalysisRequest(
             "mdg", options={"analysis_only": True, "slice": ["targets"]}))
 
 
-# -- fan-out -------------------------------------------------------------------
+# -- one driver: full jobs and analysis_only jobs agree ------------------------
 
-def test_worker_fanout_matches_sequential(tmp_path):
-    """Independent cones computed on a spawn pool must persist the very
-    same artifacts as a sequential run (key-for-key byte equality).
-
-    The one exemption is ``after`` payloads: an after-proc summary
-    composed over cache-*loaded* callee summaries carries call-site
-    tags where a composition over same-process walked summaries keeps
-    the raw (equally opaque) terms — semantically identical liveness
-    context, different bytes.  The keys must still pair up, and the
-    parity assertions elsewhere in this file prove the decisions
-    derived from them are bit-identical."""
-    w = get("mdg")
-    seq_store = ArtifactStore(str(tmp_path / "seq"))
-    par_store = ArtifactStore(str(tmp_path / "par"))
-    seq = _analyze(w.source, w.name, seq_store)
-    par = _analyze(w.source, w.name, par_store, workers=2)
-    assert canonical_json(seq) == canonical_json(par)
-    assert sorted(seq_store.keys()) == sorted(par_store.keys())
-    for key in seq_store.keys():
-        a, b = seq_store.get(key), par_store.get(key)
-        if isinstance(a, dict) and set(a) == {"after"}:
-            assert isinstance(b, dict) and set(b) == {"after"}, key
-            continue
-        assert canonical_json(a) == canonical_json(b), key
+@pytest.mark.parametrize("workload,options", [
+    ("embar", {"use_reductions": False}),
+    ("mdg", {"liveness_variant": "one_bit"}),
+    ("flo88", {"liveness_variant": "flow_insensitive"}),
+])
+def test_full_job_plans_with_its_options_and_cannot_poison_proc_store(
+        tmp_path, workload, options):
+    """A full job plans with the analysis options it records (it used to
+    receive ``use_liveness`` only and plan the rest with the defaults),
+    so its rows — written into ``proc/`` under the option-bearing key —
+    are the rows a cold ``analysis_only`` job computes: the follow-up
+    ``analysis_only`` job is served entirely from the store and is
+    byte-equal to a store-less cold one."""
+    static = AnalysisRequest(workload,
+                             options=dict(options, analysis_only=True))
+    cold = execute_request(static)                   # no store registered
+    default = execute_request(AnalysisRequest(
+        workload, options={"analysis_only": True}))
+    assert cold["plan"] != default["plan"]           # the option matters
+    set_proc_store(ArtifactStore(str(tmp_path)))
+    full = execute_request(AnalysisRequest(workload, options=options))
+    assert canonical_json(full["plan"]) == canonical_json(cold["plan"])
+    tracer = Tracer()
+    with activate(tracer):
+        warm = execute_request(static)
+    assert [s["tags"]["proc"] for s in tracer.to_dicts()
+            if s["name"] == "incr.cone"] == []
+    assert canonical_json(warm) == canonical_json(cold)
 
 
 # -- source segmentation --------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.obs import (NULL_TRACER, PHASES, NullTracer, Tracer, activate,
                        span_index, to_chrome)
 from repro.service import (AnalysisRequest, AnalysisServer, BatchScheduler,
                            ServiceMetrics, canonical_json, execute_request)
+from repro.workloads import get
 
 #: Small, fast corpus entries for the bit-identity sweep (≥5 workloads).
 SMALL = ["ora", "track", "ear", "doduc", "dyfesm"]
@@ -252,6 +253,12 @@ def test_pipeline_spans_nest_under_execute_request():
     # parse nests under build
     parse = next(s for s in spans if s["name"] == "parse")
     assert idx[parse["parent_id"]]["name"] == "build"
+    # the static analysis is not one opaque span: on a cold store each
+    # planned procedure has its own incr.cone child under parallelize
+    cones = [s for s in spans if s["name"] == "incr.cone"]
+    assert sorted(s["tags"]["proc"] for s in cones) == \
+        sorted(get("mdg").build().procedures)
+    assert {idx[s["parent_id"]]["name"] for s in cones} == {"parallelize"}
 
 
 def test_render_tree_and_phase_totals():

@@ -357,8 +357,9 @@ def test_server_error_paths(server):
 def test_server_rejects_removed_engine_names_and_non_boolean_flags(server):
     """Exactly two engine names exist; every retired spelling is a 400
     that lists them (an alias would give one computation two content
-    keys).  ``use_liveness`` / ``assertions`` are booleans: the string
-    ``"no"`` must not be accepted and silently mean ``True``."""
+    keys).  ``use_liveness`` / ``use_reductions`` / ``assertions`` are
+    booleans: the string ``"no"`` must not be accepted and silently mean
+    ``True``; a misspelt ``liveness_variant`` is a 400, not a failed job."""
     for name in ("compiled", "closure", "codegen", "interp",
                  "interpreter", "oracle"):
         status, out = _call(server, "POST", "/jobs",
@@ -366,16 +367,24 @@ def test_server_rejects_removed_engine_names_and_non_boolean_flags(server):
                              "options": {"engine": name}})
         assert status == 400, name
         assert "'transpiled', 'tree'" in out["error"], out["error"]
-    for flag in ("use_liveness", "assertions"):
+    for flag in ("use_liveness", "use_reductions", "assertions"):
         for bad in ("no", 0.5, [], None):
             status, out = _call(server, "POST", "/jobs",
                                 {"workload": "ora",
                                  "options": {flag: bad}})
             assert status == 400, (flag, bad)
             assert f"{flag} must be a boolean" in out["error"]
+    for bad in ("onebit", "FULL", 1, None):
+        status, out = _call(server, "POST", "/jobs",
+                            {"workload": "ora",
+                             "options": {"liveness_variant": bad}})
+        assert status == 400, bad
+        assert "'full', 'one_bit', 'flow_insensitive'" in out["error"]
     status, out = _call(server, "POST", "/jobs",
                         {"workload": "ora",
-                         "options": {"use_liveness": False}})
+                         "options": {"use_liveness": False,
+                                     "use_reductions": False,
+                                     "liveness_variant": "one_bit"}})
     assert status == 202
 
 
@@ -693,28 +702,57 @@ def test_metrics_snapshot_is_consistent_under_concurrent_writers():
 
 # -- cross-job proc cache reuse -----------------------------------------------
 
-def test_full_jobs_reuse_proc_cache_across_schedulers(tmp_path):
+def test_full_jobs_reuse_proc_cache_across_schedulers(tmp_path, monkeypatch):
     """A second server process (fresh scheduler, same cache dir) running
-    a *full* execution job must hit the per-procedure summary cache the
-    first one filled — and produce a bit-identical artifact."""
-    ref = execute_request(AnalysisRequest("ora"))    # cache-less reference
+    a *full* execution job must hit the per-procedure cache the first
+    one filled — and produce a bit-identical artifact.  What a warm
+    store buys a full job is pinned by counts: planning needs live
+    ``LoopPlan``s, so every procedure is still planned, but each one's
+    liveness context (the after-proc summary — trivially empty for the
+    caller-less main, the caller-chain walk for everything else) is
+    loaded instead of computed."""
+    from repro.analysis.liveness import ArrayLiveness
+    from repro.ir.callgraph import CallGraph
+    from repro.obs import Tracer
+    from repro.workloads import get
+    computed = []
+    compute = ArrayLiveness._compute_after_proc
+    monkeypatch.setattr(
+        ArrayLiveness, "_compute_after_proc",
+        lambda self, name: computed.append(name) or compute(self, name))
+    program = get("mdg").build()
+    callgraph = CallGraph(program)
+    called = {p for p in program.procedures if callgraph.sites_calling(p)}
+    assert len(called) == len(program.procedures) - 1
+
+    ref = execute_request(AnalysisRequest("mdg"))    # cache-less reference
+    del computed[:]
     cold = ServiceMetrics()
     with BatchScheduler(ArtifactStore(tmp_path, metrics=cold),
                         metrics=cold, inline=True) as sched:
-        job = sched.submit(AnalysisRequest("ora"))
+        job = sched.submit(AnalysisRequest("mdg"))
         assert sched.wait([job], timeout=120)
         first = sched.artifact(job)
     assert cold.counter("proc_cache_miss") > 0
     assert cold.counter("proc_cache_hit") == 0
+    assert sorted(computed) == sorted(program.procedures)
+    del computed[:]
     warm = ServiceMetrics()
     store = ArtifactStore(tmp_path, metrics=warm)
     store.clear()              # drop job artifacts; proc/ subtree remains
-    with BatchScheduler(store, metrics=warm, inline=True) as sched:
-        job = sched.submit(AnalysisRequest("ora"))
+    with BatchScheduler(store, metrics=warm, inline=True,
+                        tracer=Tracer()) as sched:
+        job = sched.submit(AnalysisRequest("mdg"))
         assert sched.wait([job], timeout=120)
         second = sched.artifact(job)
         assert not job.cached                        # actually recomputed
-    assert warm.counter("proc_cache_hit") > 0        # ...from warm summaries
+        spans = sched.trace(job.id)
+    reused = [s["tags"]["proc"] for s in spans if s["name"] == "incr.reuse"
+              and s["tags"]["kind"] == "after"]
+    assert sorted(reused) == sorted(program.procedures) and \
+        called <= set(reused)
+    assert computed == []
+    assert warm.counter("proc_cache_hit") == len(program.procedures)
     assert canonical_json(first) == canonical_json(second) \
         == canonical_json(ref)
 
