@@ -44,6 +44,7 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
+from bench_perf_parallel import host_cores
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.ir import build_program
 from repro.service.artifacts import ArtifactStore, canonical_json
@@ -127,7 +128,8 @@ def run_bench(workloads=WORKLOADS) -> Dict:
         "benchmark": "incremental re-analysis (cone cache)",
         "units": "wall-clock seconds per analysis run",
         "host": {"python": platform.python_version(),
-                 "machine": platform.machine()},
+                 "machine": platform.machine(),
+                 "cores": host_cores()},
         "workloads": results,
     }
 

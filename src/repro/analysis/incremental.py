@@ -56,6 +56,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from ..ir.callgraph import CallGraph
 from ..ir.program import Program
 from ..ir.statements import Block, CallStmt, LoopStmt, Statement
+from ..poly import fm_counters
 from .liveness import FULL
 
 __all__ = [
@@ -752,12 +753,14 @@ class IncrementalAnalyzer:
         return their rows."""
         from ..obs import get_tracer
         cone = self.keys.cones.cone(name)
+        fm_before = fm_counters()
         with get_tracer().span("incr.cone", proc=name, kind="plan") as sp:
             plans = self._loop_plans(name)
             proc = self.program.procedures[name]
             rows = [_plan_row(plans[loop.stmt_id])
                     for loop in proc.loops()]
-            sp.tag(cone=len(cone), loops=len(rows))
+            sp.tag(cone=len(cone), loops=len(rows),
+                   **fm_counters(fm_before))
         return rows
 
     def _store_rows(self, name: str, rows: List) -> None:
@@ -834,6 +837,7 @@ class IncrementalAnalyzer:
             tracer.event("incr.reuse", proc=proc, kind="slice")
             return cached["vars"]
         _count("miss")
+        fm_before = fm_counters()
         with tracer.span("incr.cone", proc=proc, kind="slice",
                          query=query) as sp:
             from ..explorer.session import dependence_slices
@@ -852,7 +856,8 @@ class IncrementalAnalyzer:
                     "program_ar": ds.program_slice_ar.line_count(),
                     "control_ar": ds.control_slice_ar.line_count(),
                 }
-            sp.tag(vars=len(per_var), down=len(self.keys.cones.down(proc)))
+            sp.tag(vars=len(per_var), down=len(self.keys.cones.down(proc)),
+                   **fm_counters(fm_before))
         self.store.put(key, {"vars": per_var})
         return per_var
 

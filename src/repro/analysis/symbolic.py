@@ -31,7 +31,7 @@ from ..ir.statements import (AssignStmt, Block, CallStmt, CycleStmt,
                              ExitStmt, IfStmt, IoStmt, LoopStmt, NoopStmt,
                              ReturnStmt, Statement, StopStmt, enclosing_loops)
 from ..ir.symbols import Symbol
-from ..poly import LinExpr
+from ..poly import LinExpr, reset_emptiness_memo
 
 _tag_counter = itertools.count(1)
 
@@ -139,6 +139,9 @@ class SymbolicAnalysis:
     """
 
     def __init__(self, program: Program):
+        # Every static analysis is rooted here, so this is where one
+        # job's polyhedron-emptiness answers end and the next job's begin.
+        reset_emptiness_memo()
         self.program = program
         self.tags = TagRegistry()
         self._results: Dict[str, ProcSymbolic] = {}

@@ -25,6 +25,7 @@ from ..ir.program import Program
 from ..ir.statements import LoopStmt
 from ..parallelize.parallelizer import Assertion
 from ..parallelize.plan import DEP, ProgramPlan, VarPlan
+from ..poly import fm_counters
 from ..runtime.dyndep import (DynamicDependenceAnalyzer,
                               analyze_dependences, reduction_stmt_ids)
 from ..runtime.machine import ALPHASERVER_8400, Machine
@@ -200,9 +201,11 @@ class ExplorerSession:
     def run_automatic(self) -> ParallelExecutionResult:
         from ..obs import get_tracer
         tracer = get_tracer()
+        fm_before = fm_counters()
         with tracer.span("parallelize", program=self.program.name) as sp:
             self.plan = self.analyzer.plan(self.assertions)
-            sp.tag(parallel_loops=len(self.plan.parallel_loops()))
+            sp.tag(parallel_loops=len(self.plan.parallel_loops()),
+                   **fm_counters(fm_before))
         self.profiler = profile_program(self.program, self.inputs,
                                         max_ops=self.max_ops,
                                         engine=self.engine)

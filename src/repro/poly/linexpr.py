@@ -125,7 +125,9 @@ class LinExpr:
     # -- plumbing -----------------------------------------------------------
     def key(self) -> Tuple:
         # (numerator, denominator) int pairs: hashing plain ints is far
-        # cheaper than Fraction.__hash__ (which computes modular inverses)
+        # cheaper than Fraction.__hash__ (which computes modular inverses).
+        # fourier_motzkin.system_is_empty builds its integer rows from
+        # this layout.
         return (tuple(sorted((v, c.numerator, c.denominator)
                              for v, c in self.coeffs.items())),
                 self.const.numerator, self.const.denominator)

@@ -12,7 +12,6 @@ Emptiness and projection are delegated to Fourier-Motzkin elimination
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .linexpr import LinExpr
@@ -21,7 +20,7 @@ from .linexpr import LinExpr
 class Constraint:
     """A single affine constraint: ``expr >= 0`` or ``expr == 0``."""
 
-    __slots__ = ("expr", "is_equality", "_key_memo")
+    __slots__ = ("expr", "is_equality", "_key_memo", "_negation")
 
     GE = ">="
     EQ = "=="
@@ -30,6 +29,7 @@ class Constraint:
         self.expr = expr
         self.is_equality = is_equality
         self._key_memo = None
+        self._negation = None
 
     # Convenience builders --------------------------------------------------
     @staticmethod
@@ -54,13 +54,20 @@ class Constraint:
         rhs_e = rhs if isinstance(rhs, LinExpr) else LinExpr.constant(rhs)
         return Constraint(rhs_e - lhs - 1, False)
 
-    def negate(self) -> List["Constraint"]:
+    def negate(self) -> Tuple["Constraint", ...]:
         """Integer negation.  ``not(e >= 0)`` is ``-e - 1 >= 0``;
         ``not(e == 0)`` is the *disjunction* ``e >= 1 or -e >= 1`` and is
-        returned as two constraints the caller must treat as alternatives."""
-        if self.is_equality:
-            return [Constraint(self.expr - 1), Constraint(-self.expr - 1)]
-        return [Constraint(-self.expr - 1)]
+        returned as two constraints the caller must treat as alternatives.
+        Built once per constraint: containment and subtraction negate the
+        same constraints over and over, and every system they then form
+        shares these objects' key tuples."""
+        if self._negation is None:
+            if self.is_equality:
+                self._negation = (Constraint(self.expr - 1),
+                                  Constraint(-self.expr - 1))
+            else:
+                self._negation = (Constraint(-self.expr - 1),)
+        return self._negation
 
     def variables(self) -> Tuple[str, ...]:
         return self.expr.variables()
@@ -104,7 +111,7 @@ class Constraint:
 class System:
     """A conjunction of constraints — one convex integer polyhedron."""
 
-    __slots__ = ("constraints", "_empty_memo", "_key_memo")
+    __slots__ = ("constraints", "_key_memo")
 
     def __init__(self, constraints: Iterable[Constraint] = ()):
         # Drop trivially-true constraints; dedupe while preserving order.
@@ -118,7 +125,6 @@ class System:
                 seen.add(k)
                 kept.append(c)
         self.constraints: Tuple[Constraint, ...] = tuple(kept)
-        self._empty_memo = None
         self._key_memo = None
 
     @staticmethod
@@ -148,24 +154,12 @@ class System:
         """True if the system has no rational solutions (conservative for
         integer emptiness: a rationally-empty system is integrally empty;
         the converse may not hold, which errs on the safe side for
-        dependence testing).  Memoized: systems are immutable."""
-        if self._empty_memo is not None:
-            return self._empty_memo
-        from .fourier_motzkin import system_is_empty
-        result = False
-        for c in self.constraints:
-            if c.is_trivially_false():
-                result = True
-                break
-        else:
-            result = system_is_empty(self)
-        self._empty_memo = result
-        return result
+        dependence testing).  Decided once per distinct system per job."""
+        return _fm.is_empty(self)
 
     def project_away(self, variables: Sequence[str]) -> "System":
         """Eliminate the named variables (existential projection)."""
-        from .fourier_motzkin import project
-        return project(self, variables)
+        return _fm.project(self, variables)
 
     def contains(self, other: "System") -> bool:
         """True if every point of ``other`` satisfies ``self``.
@@ -245,3 +239,7 @@ def bounds_system(var: str, low: LinExpr | int, high: LinExpr | int) -> System:
     lo = low if isinstance(low, LinExpr) else LinExpr.constant(low)
     hi = high if isinstance(high, LinExpr) else LinExpr.constant(high)
     return System([Constraint.ge(v, lo), Constraint.le(v, hi)])
+
+
+# Imported last: fourier_motzkin builds on the classes above.
+from . import fourier_motzkin as _fm  # noqa: E402

@@ -259,6 +259,13 @@ def test_pipeline_spans_nest_under_execute_request():
     assert sorted(s["tags"]["proc"] for s in cones) == \
         sorted(get("mdg").build().procedures)
     assert {idx[s["parent_id"]]["name"] for s in cones} == {"parallelize"}
+    # ... and says what it asked of Fourier-Motzkin: all of the
+    # parallelize span's emptiness work happens inside the cones
+    par = next(s for s in spans if s["name"] == "parallelize")
+    for tag in ("fm_queries", "fm_hits", "fm_steps"):
+        assert sum(s["tags"][tag] for s in cones) == par["tags"][tag]
+    assert 0 < par["tags"]["fm_hits"] < par["tags"]["fm_queries"]
+    assert par["tags"]["fm_steps"] > 0
 
 
 def test_render_tree_and_phase_totals():

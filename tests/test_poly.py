@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+
+from fm_oracle import fraction_is_empty, harvest
 from repro.poly import (Constraint, LinExpr, Section, System, bounds_system,
-                        dim, range_section)
+                        dim, fm_counters, range_section)
 
 
 # -- LinExpr -----------------------------------------------------------------
@@ -176,3 +179,129 @@ def test_free_variables_excludes_dims():
     i = LinExpr.var("i")
     sec = Section.point([i + 1])
     assert sec.free_variables() == ("i",)
+
+
+# -- the integer emptiness kernel against its Fraction oracle -----------------
+
+def _plan(program):
+    from repro.parallelize.parallelizer import Parallelizer
+    Parallelizer(program).plan()
+
+
+def _assert_kernel_matches_oracle(decided):
+    assert decided
+    wrong = [(s, got) for s, got in decided if fraction_is_empty(s) != got]
+    assert not wrong, wrong[:3]
+
+
+@pytest.mark.parametrize("name", ["mdg", "wave5", "hydro2d", "arc3d", "hydro"])
+def test_kernel_matches_fraction_oracle_on_corpus_systems(name):
+    from repro.workloads import get
+    decided = harvest(lambda: _plan(get(name).build()))
+    _assert_kernel_matches_oracle(decided)
+    assert {got for _, got in decided} == {True, False}
+
+
+def test_kernel_matches_fraction_oracle_on_synth_systems():
+    from repro.workloads.synth import from_name, pinned_slice
+
+    def plan_all():
+        for name in pinned_slice(200):
+            _plan(from_name(name).build())
+
+    _assert_kernel_matches_oracle(harvest(plan_all))
+
+
+def _fan(width):
+    """``width`` lower and ``width`` upper bounds on ``a``, each against
+    its own variable, plus a contradiction on ``y00``: eliminating ``a``
+    (first in sorted order) yields ``width**2`` incomparable rows."""
+    a = LinExpr.var("a")
+    ys = [LinExpr.var(f"y{k:02d}") for k in range(width)]
+    zs = [LinExpr.var(f"z{k:02d}") for k in range(width)]
+    falsum = [Constraint.ge(ys[0], 1), Constraint.le(ys[0], 0)]
+    return System([Constraint.ge(a, y) for y in ys]
+                  + [Constraint.le(a, z) for z in zs] + falsum), falsum
+
+
+def test_max_constraints_valve():
+    from repro.poly.fourier_motzkin import MAX_CONSTRAINTS, system_is_empty
+    under, _ = _fan(24)
+    assert 24 * 24 + 2 <= MAX_CONSTRAINTS
+    assert system_is_empty(under) and fraction_is_empty(under)
+    over, falsum = _fan(25)
+    assert 25 * 25 > MAX_CONSTRAINTS
+    # past the valve the answer is the conservative "not empty" ...
+    assert not system_is_empty(over) and not fraction_is_empty(over)
+    # ... and projection drops the variable's constraints, keeping the rest
+    assert over.project_away(["a"]) == System(falsum)
+    assert len(under.project_away(["a"]).constraints) == 24 * 24 + 2
+
+
+def test_equal_linear_parts_with_different_constants():
+    """Pruning by linear part is for inequalities only: two such
+    equalities are a contradiction that must survive projection."""
+    from repro.poly.fourier_motzkin import _prune
+    x, y = LinExpr.var("x"), LinExpr.var("y")
+    clash = System([Constraint.eq(x - y, 0), Constraint.eq(x - y, 1)])
+    assert clash.is_empty()
+    for away in ([], ["x"], ["y"], ["x", "y"], ["z"]):
+        assert clash.project_away(away).is_empty()
+    with pytest.raises(AssertionError):
+        _prune(list(clash.constraints))
+    slack = [Constraint.ge(x - y, -3), Constraint.ge(x - y, 2)]
+    assert _prune(slack) == [slack[1]]
+
+
+# -- the emptiness memo lives exactly one job ---------------------------------
+
+def _fm_growth(run):
+    before = fm_counters()
+    result = run()
+    return fm_counters(before), result
+
+
+def _job(name):
+    from repro.service.jobs import AnalysisRequest, execute_request
+    return execute_request(AnalysisRequest(name))
+
+
+def _staged(program):
+    """The benchmark harness's staged pipeline."""
+    from repro.analysis.region_analysis import ArrayDataFlow
+    from repro.analysis.symbolic import SymbolicAnalysis
+    from repro.parallelize.parallelizer import Parallelizer
+    dataflow = ArrayDataFlow(program, SymbolicAnalysis(program))
+    Parallelizer(program, dataflow=dataflow).plan()
+
+
+def test_second_cold_job_repeats_the_first_jobs_eliminations():
+    first, _ = _fm_growth(lambda: _job("wave5"))
+    second, _ = _fm_growth(lambda: _job("wave5"))
+    assert first == second
+    assert 0 < first["fm_hits"] < first["fm_queries"] and first["fm_steps"]
+
+
+def test_staged_pipeline_starts_from_an_empty_memo_after_a_job():
+    from repro.workloads import get
+    program = get("wave5").build()
+    alone, _ = _fm_growth(lambda: _staged(program))
+    _job("wave5")
+    after_job, _ = _fm_growth(lambda: _staged(program))
+    assert alone == after_job and alone["fm_hits"]
+
+
+def test_memo_entries_of_another_program_cannot_change_an_artifact(
+        monkeypatch):
+    from repro.analysis import symbolic
+    from repro.poly import fourier_motzkin as fm
+    from repro.service.artifacts import canonical_json
+    clean_growth, clean = _fm_growth(lambda: _job("wave5"))
+    _job("mdg")
+    inherited = len(fm._memo)
+    assert inherited
+    monkeypatch.setattr(symbolic, "reset_emptiness_memo", lambda: None)
+    growth, poisoned = _fm_growth(lambda: _job("wave5"))
+    assert len(fm._memo) > inherited        # mdg's entries were still there
+    assert growth["fm_queries"] == clean_growth["fm_queries"]
+    assert canonical_json(poisoned) == canonical_json(clean)

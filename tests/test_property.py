@@ -9,7 +9,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from fm_oracle import fraction_is_empty
 from repro.poly import Constraint, LinExpr, Section, System, range_section
+from repro.poly.fourier_motzkin import system_is_empty
 from repro.analysis.summaries import VarSummary, close_over_loop, meet, \
     transfer
 
@@ -54,6 +56,58 @@ def test_linexpr_scalar_distributes(a, k):
 @given(linexprs())
 def test_substitute_self_is_identity(a):
     assert a.substitute("x", LinExpr.var("x")) == a
+
+
+# ---------------------------------------------------------------------------
+# The integer emptiness kernel on random small systems
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_systems(draw, equalities=st.booleans()):
+    return [Constraint(draw(linexprs()), draw(equalities))
+            for _ in range(draw(st.integers(min_value=0, max_value=6)))]
+
+
+positive_scales = st.fractions(min_value=Fraction(1, 6), max_value=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_kernel_agrees_with_fraction_oracle(constraints):
+    system = System(constraints)
+    assert system_is_empty(system) == fraction_is_empty(system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems(), st.randoms(use_true_random=False),
+       st.lists(positive_scales, min_size=6, max_size=6))
+def test_kernel_invariant_under_permutation_and_row_rescaling(
+        constraints, rng, scales):
+    expected = system_is_empty(System(constraints))
+    shuffled = list(constraints)
+    rng.shuffle(shuffled)
+    assert system_is_empty(System(shuffled)) == expected
+    rescaled = [Constraint(c.expr * k, c.is_equality)
+                for c, k in zip(constraints, scales)]
+    assert system_is_empty(System(rescaled)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_kernel_never_calls_a_sampled_point_empty(constraints):
+    system = System(constraints)
+    if system.sample_point(bound=4) is not None:
+        assert not system_is_empty(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems(equalities=st.just(True)), linexprs(),
+       coeffs.filter(bool))
+def test_kernel_detects_equality_only_contradictions(equalities, e, k):
+    # e == 0 and e + k == 0 (k != 0) contradict whatever else holds
+    system = System(equalities + [Constraint(e, True),
+                                  Constraint(e + k, True)])
+    assert system_is_empty(system)
 
 
 # ---------------------------------------------------------------------------
