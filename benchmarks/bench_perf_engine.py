@@ -21,6 +21,7 @@ which writes ``BENCH_engine.json`` at the repo root —
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -76,7 +77,7 @@ def run_bench(workloads=WORKLOADS) -> Dict:
         "benchmark": "execution-engine shootout",
         "units": "interpreter ops per wall-clock second",
         "host": {"python": platform.python_version(),
-                 "machine": platform.machine()},
+                 "machine": platform.machine(), "cores": os.cpu_count()},
         "workloads": results,
     }
 

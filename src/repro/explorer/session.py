@@ -10,7 +10,7 @@ invoked to help users decide the parallelizability" (section 2.3.1).
 A scripted (non-GUI) session:
 
 >>> session = ExplorerSession(program, inputs=...)
->>> session.run_automatic()          # compiler + analyzers + simulation
+>>> session.run_automatic()          # compiler + one instrumented run
 >>> session.guru.targets()           # ranked important sequential loops
 >>> session.slices_for(loop)         # pruned slices per unresolved dep
 >>> session.apply_assertions([...])  # checker + re-parallelize + re-run
@@ -26,13 +26,12 @@ from ..ir.statements import LoopStmt
 from ..parallelize.parallelizer import Assertion
 from ..parallelize.plan import DEP, ProgramPlan, VarPlan
 from ..poly import fm_counters
-from ..runtime.dyndep import (DynamicDependenceAnalyzer,
-                              analyze_dependences, reduction_stmt_ids)
+from ..runtime.dyndep import DynamicDependenceAnalyzer, reduction_stmt_ids
 from ..runtime.machine import ALPHASERVER_8400, Machine
-from ..runtime.interpreter import engine_label
+from ..runtime.interpreter import engine_label, run_instrumented
 from ..runtime.parallel_exec import (ParallelExecutionResult,
                                      ParallelExecutor)
-from ..runtime.profiler import LoopProfiler, profile_program
+from ..runtime.profiler import LoopProfiler
 from ..slicing.slicer import SliceResult, Slicer
 from .assertions import AssertionChecker, CheckOutcome
 from .guru import LoopReport, ParallelizationGuru
@@ -189,12 +188,12 @@ class ExplorerSession:
         self.result: Optional[ParallelExecutionResult] = None
         self.assertions: List[Assertion] = []
         self._slicer: Optional[Slicer] = None
-        #: Which execution substrate each of the three instrumented runs
-        #: actually ran on (``{"profile": "transpiled/profile", "dyndep":
-        #: "transpiled/dyndep", "parallel_exec": "transpiled/cost"}``, or
+        #: Which execution produced each dynamic result: keys ``profile``
+        #: / ``dyndep`` / ``parallel_exec``, all
+        #: ``"transpiled/profile+dyndep+cost"`` after the first run
+        #: (``parallel_exec: "transpiled/cost"`` after a re-plan,
         #: ``"tree"`` after a fallback) — filled by :meth:`run_automatic`
-        #: so logs and service traces can tell the generated path from
-        #: the observer path.
+        #: so logs and service traces can tell which path ran.
         self.engine_labels: Dict[str, str] = {}
 
     # -- phase 1: automatic parallelization + execution analysis -------------
@@ -206,33 +205,32 @@ class ExplorerSession:
             self.plan = self.analyzer.plan(self.assertions)
             sp.tag(parallel_loops=len(self.plan.parallel_loops()),
                    **fm_counters(fm_before))
-        self.profiler = profile_program(self.program, self.inputs,
-                                        max_ops=self.max_ops,
-                                        engine=self.engine)
-        self.engine_labels["profile"] = engine_label(
-            self.profiler.interpreter)
-        self.dyndep = analyze_dependences(
-            self.program, self.inputs,
-            skip_stmt_ids=reduction_stmt_ids(self.program),
-            max_ops=self.max_ops, engine=self.engine)
-        self.engine_labels["dyndep"] = engine_label(
-            self.dyndep.interpreter)
+        executor = ParallelExecutor(self.program, self.plan, self.machine,
+                                    inputs=self.inputs, max_ops=self.max_ops,
+                                    engine=self.engine)
+        # One execution feeds every dynamic result.  Profile and
+        # dependences are functions of (program, inputs) alone, so a
+        # re-plan keeps them and measures only the new plan's regions.
+        riders = {"parallel_exec": executor}
+        if self.profiler is None:
+            riders = {"profile": LoopProfiler(),
+                      "dyndep": DynamicDependenceAnalyzer(
+                          reduction_stmt_ids(self.program)), **riders}
+        label = engine_label(run_instrumented(
+            self.program, self.inputs, list(riders.values()),
+            max_ops=self.max_ops, engine=self.engine))
+        self.engine_labels.update(dict.fromkeys(riders, label))
+        self.profiler = riders.get("profile", self.profiler)
+        self.dyndep = riders.get("dyndep", self.dyndep)
         with tracer.span("guru") as sp:
             self.guru = ParallelizationGuru(self.program, self.plan,
                                             self.profiler, self.dyndep,
                                             self.machine)
             sp.tag(targets=len(self.guru.targets()))
-        with tracer.span("parallel_exec",
-                         machine=self.machine.name) as sp:
-            executor = ParallelExecutor(self.program, self.plan,
-                                        self.machine, inputs=self.inputs,
-                                        max_ops=self.max_ops,
-                                        engine=self.engine)
-            self.result = executor.run()
-            self.engine_labels["parallel_exec"] = engine_label(
-                executor.interp)
+        with tracer.span("parallel_exec", machine=self.machine.name) as sp:
+            self.result = executor.run()     # prices the measured regions
             sp.tag(speedup=round(self.result.speedup, 4),
-                   engine_variant=self.engine_labels["parallel_exec"])
+                   engine_variant=label)
         return self.result
 
     def _require_run(self) -> None:

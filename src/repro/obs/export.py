@@ -18,9 +18,9 @@ __all__ = ["to_chrome", "render_tree", "span_index", "phase_totals"]
 #: DESIGN.md).  Instrumentation sites elsewhere must use these names so
 #: dashboards and tests can rely on them.
 PHASES = ("parse", "build", "execute", "codegen", "parallelize",
-          "instrument.profile", "instrument.dyndep", "guru", "slice",
-          "parallel_exec", "parallel.exec", "parallel.merge", "snapshot",
-          "execute_request", "job", "submit",
+          "instrument", "instrument.profile", "instrument.dyndep", "guru",
+          "slice", "parallel_exec", "parallel.exec", "parallel.merge",
+          "snapshot", "execute_request", "job", "submit",
           "analyze", "incr.cone", "incr.reuse")
 
 

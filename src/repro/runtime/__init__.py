@@ -5,8 +5,9 @@ Two execution engines share one semantics:
 * :class:`TranspiledEngine` (``"transpiled"``, the default) — generates
   plain Python source from the IR and runs it; the instrumented runs
   (loop profile, dynamic dependences, simulated-multiprocessor cost
-  accounting) are codegen-time variants of the same generator, and
-  observer configurations it cannot express fall back to the oracle,
+  accounting) are codegen-time aspects of the same generator — any
+  subset in one module and one run — and observer configurations it
+  cannot express fall back to the oracle,
 * :class:`Interpreter` (``"tree"``) — the tree-walking reference oracle,
   instrumented through the :class:`Observer` protocol.
 
@@ -14,7 +15,7 @@ Both produce bit-identical outputs, op counts, COMMON memory and
 analyzer state, and raise the same :class:`OpsBudgetExceeded` on budget
 exhaustion.  Every entry point taking an ``engine=`` keyword accepts
 exactly :data:`ENGINE_NAMES`; :func:`engine_label` reports what actually
-ran (``"transpiled/<plain|profile|dyndep|cost>"`` or ``"tree"``).
+ran (``"transpiled/<plain | aspects joined by +>"`` or ``"tree"``).
 """
 
 from .dyndep import (DynamicDependenceAnalyzer, analyze_dependences,

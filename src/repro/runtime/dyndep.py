@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.program import Program
 from ..ir.statements import LoopStmt, Statement
-from .interpreter import (Interpreter, Observer, engine_label,
-                          make_engine)
+from .interpreter import Observer, run_instrumented
 from .values import Buffer
 
 
@@ -50,6 +49,8 @@ class _ActiveLoop:
 
 class DynamicDependenceAnalyzer(Observer):
     """Observer detecting loop-carried flow dependences in one execution."""
+
+    aspect = "dyndep"
 
     def __init__(self, skip_stmt_ids: Optional[Set[int]] = None,
                  sample_stride: int = 1):
@@ -72,7 +73,6 @@ class DynamicDependenceAnalyzer(Observer):
         #: tests (strictly fewer sampled accesses at stride 2 than 1).
         self.sampled_accesses = 0
         self.skipped_accesses = 0
-        self.interpreter: Optional[Interpreter] = None
         self._stack: List[_ActiveLoop] = []
         self._invocations: Dict[int, int] = {}
         # (buffer id, offset) -> tuple of (loop id, invocation, iteration)
@@ -86,11 +86,11 @@ class DynamicDependenceAnalyzer(Observer):
         # at most _MAX_WITNESSES distinct pairs are kept per loop
         self.witnesses: Dict[int, List[Tuple[int, int]]] = {}
 
-    def attach(self, interpreter: Interpreter
-               ) -> "DynamicDependenceAnalyzer":
-        self.interpreter = interpreter
-        interpreter.observers.append(self)
-        return self
+    def finish(self) -> Dict:
+        return {"carried_loops": len(self.carried),
+                "carried_total": sum(self.carried.values()),
+                "sampled_accesses": self.sampled_accesses,
+                "skipped_accesses": self.skipped_accesses}
 
     # -- observer ------------------------------------------------------------
     def on_loop_enter(self, loop: LoopStmt) -> None:
@@ -195,30 +195,18 @@ def analyze_dependences(program: Program, inputs=(),
                         ) -> DynamicDependenceAnalyzer:
     """Run one instrumented execution and return the analyzer.
 
-    ``engine`` selects the execution substrate (see
-    :func:`repro.runtime.interpreter.make_engine`).  The transpiled
+    The single-aspect form of :func:`run_instrumented`, under an
+    ``instrument.dyndep`` span.  ``engine`` selects the substrate (see
+    :func:`repro.runtime.interpreter.make_engine`): the transpiled
     engine emits the analyzer *into* the generated code (its ``dyndep``
-    variant): flat per-buffer shadow memory, cached activation-cell
-    snapshots, a hoisted sampling flag, and compile-time skip sets
-    replace the per-access callback protocol — results stay
-    bit-identical to this observer running on the tree-walking oracle.
-    The span is named ``instrument.dyndep`` so traces separate
-    instrumented runs from clean execution; its ``engine_variant`` tag
-    records which path ran."""
-    from ..obs import get_tracer
-    with get_tracer().span("instrument.dyndep", program=program.name,
-                           engine=engine, stride=sample_stride) as sp:
-        analyzer = DynamicDependenceAnalyzer(skip_stmt_ids, sample_stride)
-        interp = make_engine(program, inputs, observers=[], max_ops=max_ops,
-                             engine=engine)
-        analyzer.attach(interp)
-        interp.run()
-        sp.tag(ops=interp.ops,
-               carried_loops=len(analyzer.carried),
-               carried_total=sum(analyzer.carried.values()),
-               sampled_accesses=analyzer.sampled_accesses,
-               skipped_accesses=analyzer.skipped_accesses,
-               engine_variant=engine_label(interp))
+    aspect) — flat per-buffer shadow memory, cached activation-cell
+    snapshots, a hoisted sampling flag and compile-time skip sets
+    replace the per-access callbacks — bit-identical to this observer
+    riding the tree-walking oracle."""
+    analyzer = DynamicDependenceAnalyzer(skip_stmt_ids, sample_stride)
+    run_instrumented(program, inputs, [analyzer], max_ops=max_ops,
+                     engine=engine, span="instrument.dyndep",
+                     stride=sample_stride)
     return analyzer
 
 

@@ -88,6 +88,20 @@ class _Stop(Exception):
 class Observer:
     """Hook interface; every callback is optional (no-op by default)."""
 
+    #: The codegen aspect that reproduces this analyzer, if one does.
+    aspect: Optional[str] = None
+    interpreter = None
+
+    def attach(self, interpreter):
+        self.interpreter = interpreter
+        interpreter.observers.append(self)
+        return self
+
+    def finish(self) -> Dict:
+        """The run this observer rode has completed; returns what the
+        run's span reports for it."""
+        return {}
+
     def on_loop_enter(self, loop: LoopStmt) -> None: ...
     def on_loop_iteration(self, loop: LoopStmt, index_value: int) -> None: ...
     def on_loop_exit(self, loop: LoopStmt) -> None: ...
@@ -529,6 +543,28 @@ def engine_label(engine) -> str:
     transpiled engine that fell back to it) or ``"transpiled/<variant>"``
     (call after ``run()`` — the variant is chosen at run start)."""
     return engine.label
+
+
+def run_instrumented(program: Program, inputs: Sequence[float],
+                     observers: Sequence[Observer], *, max_ops: int,
+                     engine: str, span: str = "instrument", **tags):
+    """One execution carrying every analyzer in ``observers`` (loop
+    profiler, dependence analyzer, parallel executor) under one ``span``
+    whose ``aspects`` / ``engine_variant`` tags say what was asked for
+    and what ran — one generated module, ``transpiled/<aspects>``, or
+    the oracle's callbacks.  Returns the finished engine."""
+    from ..obs import get_tracer
+    with get_tracer().span(
+            span, program=program.name, engine=engine,
+            aspects="+".join(o.aspect for o in observers), **tags) as sp:
+        interp = make_engine(program, inputs, max_ops=max_ops, engine=engine)
+        for obs in observers:
+            obs.attach(interp)
+        interp.run()
+        sp.tag(ops=interp.ops, engine_variant=engine_label(interp))
+        for obs in observers:
+            sp.tag(**obs.finish())
+    return interp
 
 
 def run_program(program: Program, inputs: Sequence[float] = (),

@@ -3,7 +3,8 @@
 One instrumented run collects per-region measurements (iteration costs,
 touched footprint, access counts, reduction statistics); the cost model
 then prices those regions for any processor count, so a processor sweep
-(Fig 5-12) needs a single execution.
+(Fig 5-12) needs a single execution — possibly one shared with the loop
+profiler and the dependence analyzer (a session's one instrumented run).
 
 Model summary:
 
@@ -34,7 +35,7 @@ from ..ir.statements import LoopStmt, Statement
 from ..parallelize.plan import (PRIVATE, PRIVATE_FINAL, PRIVATE_USER,
                                 REDUCTION, ProgramPlan, VarPlan)
 from .dyndep import reduction_stmt_ids
-from .interpreter import Interpreter, Observer, make_engine
+from .interpreter import Interpreter, Observer, run_instrumented
 from .machine import Machine, with_processors
 from .values import Buffer
 
@@ -116,36 +117,16 @@ class ParallelExecutionResult:
         return self.machine.seconds(self.seq_ops)
 
 
-class _CostObserver(Observer):
-    """Feeds the executor's region tracking from the ``Observer``
-    protocol — the reference path (``engine="tree"``).  The transpiled
-    engine recognizes a lone fresh instance and runs its ``cost``
-    variant instead, filling ``executor.regions`` with identical
-    :class:`RegionStats`."""
+class ParallelExecutor(Observer):
+    """Run a program under a parallelization plan on a machine model.
 
-    def __init__(self, executor: "ParallelExecutor"):
-        self.executor = executor
+    The executor is the ``cost`` observer of the run it measures: its
+    region tracking rides the ``Observer`` callbacks on the tree oracle,
+    while the transpiled engine recognizes a fresh instance and
+    generates its ``cost`` aspect instead, filling :attr:`regions` with
+    identical :class:`RegionStats`."""
 
-    def on_loop_enter(self, loop: LoopStmt) -> None:
-        self.executor._loop_enter(loop)
-
-    def on_loop_iteration(self, loop: LoopStmt, index_value: int) -> None:
-        self.executor._loop_iteration(loop)
-
-    def on_loop_exit(self, loop: LoopStmt) -> None:
-        self.executor._loop_exit(loop)
-
-    def on_read(self, buffer: Buffer, offset: int,
-                stmt: Optional[Statement]) -> None:
-        self.executor._touch(buffer, offset, stmt, False)
-
-    def on_write(self, buffer: Buffer, offset: int,
-                 stmt: Optional[Statement]) -> None:
-        self.executor._touch(buffer, offset, stmt, True)
-
-
-class ParallelExecutor:
-    """Run a program under a parallelization plan on a machine model."""
+    aspect = "cost"
 
     def __init__(self, program: Program, plan: ProgramPlan,
                  machine: Machine, *, processors: Optional[int] = None,
@@ -169,29 +150,33 @@ class ParallelExecutor:
         self._iter_start_ops = 0
         self._iters_seen = 0
         self.regions: List[RegionStats] = []
-        self.interp: Optional[Interpreter] = None
         self._total_ops = 0
         self._outputs: List[float] = []
         self._ran = False
 
     # -- driver ------------------------------------------------------------
     def run(self) -> ParallelExecutionResult:
-        self.measure()
         return self.account(self.machine.processors)
 
     def measure(self) -> "ParallelExecutor":
         """Execute once and collect region measurements (the transpiled
-        engine's ``cost`` variant, or the observer riding the oracle)."""
-        if self._ran:
-            return self
-        self.interp = make_engine(self.program, self.inputs,
-                                  observers=[_CostObserver(self)],
-                                  max_ops=self.max_ops, engine=self.engine)
-        self.interp.run()
-        self._total_ops = self.interp.ops
-        self._outputs = list(self.interp.outputs)
-        self._ran = True
+        engine's ``cost`` aspect, or the callbacks below on the oracle);
+        a no-op once the executor has ridden a finished run."""
+        if not self._ran:
+            run_instrumented(self.program, self.inputs, [self],
+                             max_ops=self.max_ops, engine=self.engine)
         return self
+
+    @property
+    def interp(self) -> Optional[Interpreter]:
+        """The engine whose run this executor measures."""
+        return self.interpreter
+
+    def finish(self) -> Dict:
+        self._total_ops = self.interpreter.ops
+        self._outputs = list(self.interpreter.outputs)
+        self._ran = True
+        return {"regions": len(self.regions)}
 
     def account(self, processors: int) -> ParallelExecutionResult:
         """Price the measured regions for a processor count."""
@@ -212,7 +197,6 @@ class ParallelExecutor:
                     ) -> Dict[int, ParallelExecutionResult]:
         """One measurement run, priced at several processor counts
         (used by the Fig 5-12 sweep)."""
-        self.measure()
         return {p: self.account(p) for p in processor_counts}
 
     # -- real execution (the par_backend bridge) ---------------------------
@@ -282,35 +266,43 @@ class ParallelExecutor:
                 "rows": rows}
 
     # -- region tracking -----------------------------------------------------
-    def _loop_enter(self, loop: LoopStmt) -> None:
+    def on_loop_enter(self, loop: LoopStmt) -> None:
         if self._active is not None:
             return
         if loop.stmt_id not in self._parallel_ids:
             return
-        self._active = RegionStats(loop, self.interp.ops)
-        self._iter_start_ops = self.interp.ops
+        self._active = RegionStats(loop, self.interpreter.ops)
+        self._iter_start_ops = self.interpreter.ops
         self._iters_seen = 0
 
-    def _loop_iteration(self, loop: LoopStmt) -> None:
+    def on_loop_iteration(self, loop: LoopStmt, index_value: int) -> None:
         region = self._active
         if region is None or region.loop is not loop:
             return
-        now = self.interp.ops
+        now = self.interpreter.ops
         if self._iters_seen > 0:
             region.iter_costs.append(now - self._iter_start_ops)
         self._iter_start_ops = now
         self._iters_seen += 1
 
-    def _loop_exit(self, loop: LoopStmt) -> None:
+    def on_loop_exit(self, loop: LoopStmt) -> None:
         region = self._active
         if region is None or region.loop is not loop:
             return
         self._active = None
-        now = self.interp.ops
+        now = self.interpreter.ops
         if self._iters_seen > 0:
             region.iter_costs.append(now - self._iter_start_ops)
         region.seq_ops = now - region.seq_ops
         self.regions.append(region)
+
+    def on_read(self, buffer: Buffer, offset: int,
+                stmt: Optional[Statement]) -> None:
+        self._touch(buffer, offset, stmt, False)
+
+    def on_write(self, buffer: Buffer, offset: int,
+                 stmt: Optional[Statement]) -> None:
+        self._touch(buffer, offset, stmt, True)
 
     def _touch(self, buffer: Buffer, offset: int,
                stmt: Optional[Statement], is_write: bool) -> None:

@@ -12,8 +12,7 @@ from typing import Dict, List, Optional
 
 from ..ir.program import Program
 from ..ir.statements import LoopStmt
-from .interpreter import (Interpreter, Observer, engine_label,
-                          make_engine)
+from .interpreter import Interpreter, Observer, run_instrumented
 from .machine import Machine
 
 
@@ -41,16 +40,13 @@ class LoopProfile:
 class LoopProfiler(Observer):
     """Observer collecting per-loop inclusive op counts."""
 
+    aspect = "profile"
+
     def __init__(self, interpreter: Optional[Interpreter] = None):
         self.interpreter = interpreter
         self.profiles: Dict[int, LoopProfile] = {}
         self._stack: List[tuple] = []       # (loop, ops at entry)
         self.total_ops = 0
-
-    def attach(self, interpreter: Interpreter) -> "LoopProfiler":
-        self.interpreter = interpreter
-        interpreter.observers.append(self)
-        return self
 
     # -- observer callbacks ----------------------------------------------------
     def on_loop_enter(self, loop: LoopStmt) -> None:
@@ -75,8 +71,9 @@ class LoopProfiler(Observer):
         return prof
 
     # -- queries -----------------------------------------------------------
-    def finish(self) -> None:
+    def finish(self) -> Dict:
         self.total_ops = self.interpreter.ops if self.interpreter else 0
+        return {"loops": len(self.profiles)}
 
     def profile(self, loop: LoopStmt) -> Optional[LoopProfile]:
         return self.profiles.get(loop.stmt_id)
@@ -103,23 +100,14 @@ def profile_program(program: Program, inputs=(), max_ops: int = 500_000_000,
                     engine: str = "transpiled") -> LoopProfiler:
     """Run the program once under the Loop Profile Analyzer.
 
-    ``engine`` selects the execution substrate (see
-    :func:`repro.runtime.interpreter.make_engine`).  The transpiled
+    The single-aspect form of :func:`run_instrumented`, under an
+    ``instrument.profile`` span.  ``engine`` selects the substrate (see
+    :func:`repro.runtime.interpreter.make_engine`): the transpiled
     engine emits the profiler *into* the generated code (its
-    ``profile`` variant): loop drivers do their own op-delta accounting
-    and no observer callback fires at all — results stay bit-identical to
-    this observer running on the tree-walking oracle.  The span is named
-    ``instrument.profile`` so traces separate instrumented runs from
-    clean execution; its ``engine_variant`` tag records which path ran."""
-    from ..obs import get_tracer
-    with get_tracer().span("instrument.profile", program=program.name,
-                           engine=engine) as sp:
-        profiler = LoopProfiler()
-        interp = make_engine(program, inputs, observers=[], max_ops=max_ops,
-                             engine=engine)
-        profiler.attach(interp)
-        interp.run()
-        profiler.finish()
-        sp.tag(ops=profiler.total_ops, loops=len(profiler.profiles),
-               engine_variant=engine_label(interp))
+    ``profile`` aspect) — loop drivers do their own op-delta accounting
+    and no callback fires — bit-identical to this observer riding the
+    tree-walking oracle."""
+    profiler = LoopProfiler()
+    run_instrumented(program, inputs, [profiler], max_ops=max_ops,
+                     engine=engine, span="instrument.profile")
     return profiler

@@ -12,13 +12,13 @@ The contract is bit-determinism against the oracle:
   charged in per-block batches, so only the point where an exhausted
   budget trips may differ by a few ops),
 * identical :class:`OpsBudgetExceeded` type and message on exhaustion,
-* codegen-time instrumentation variants — the paper's §2.5 "instrumented
+* codegen-time instrumentation aspects — the paper's §2.5 "instrumented
   executables the compiler emits": ``profile`` loop drivers emit their
   own op-delta accounting, ``dyndep`` shadow-memory updates —
   stride-sampling window included — are generated directly into the
   Python, and ``cost`` emits the simulated-multiprocessor run's region
-  accounting (see "cost variant" below), each keeping the observer's
-  state bit-identical to the same observer riding the oracle.
+  accounting (see "cost aspect" below), alone or together in one module,
+  each keeping its observer's state bit-identical to the oracle's.
 
 Op accounting in generated code uses a function-local counter ``_o``
 synchronized through a shared cell ``_s[0]`` at call boundaries (callers
@@ -26,7 +26,7 @@ publish before a call, callees start from the cell, and ``finally``
 blocks max-merge on every unwind), so the budget check on the hot path
 is a compare of two local integers.
 
-Cost variant.  The parallel executor prices *outermost parallel
+Cost aspect.  The parallel executor prices *outermost parallel
 regions*; which loops are parallel comes from the plan, so it is a
 run-time argument (``_pf``, dense loop-index flags) and one generated
 module serves every plan of a program.  Memory accesses are counted the
@@ -44,7 +44,7 @@ codegen version), and an optional persistent
 service jobs skip codegen entirely.
 
 Programs or observer configurations the generator cannot express
-(unknown operators/intrinsics, multiple / stale / subclassed observers)
+(unknown operators/intrinsics, duplicate / stale / subclassed observers)
 make :class:`TranspiledEngine` run the tree oracle instead — same
 results, ``engine_label`` reports ``"tree"`` and the ``execute`` span
 carries the reason.
@@ -78,12 +78,16 @@ __all__ = [
 #: modules (in-process and persistent) then miss instead of being reused.
 CODEGEN_VERSION = 2
 
-#: Instrumentation variants the generator can emit; engine labels read
-#: ``transpiled/<variant>``.
+#: A variant is ``plain`` or instrumentation aspects joined by ``+`` in
+#: canonical order (``profile+dyndep+cost``): ``transpiled/<variant>``.
 VARIANT_PLAIN = "plain"
 VARIANT_PROFILE = "profile"
 VARIANT_DYNDEP = "dyndep"
 VARIANT_COST = "cost"
+_ASPECTS = (VARIANT_PROFILE, VARIANT_DYNDEP, VARIANT_COST)
+#: What each aspect appends to every generated procedure's signature.
+_EXTRA_ARGS = {VARIANT_PROFILE: ", _pt, _pv, _pi, _pn, _po",
+               VARIANT_DYNDEP: ", _dd", VARIANT_COST: ", _pf, _cs"}
 
 _DEFAULT_MAX_OPS = 500_000_000
 
@@ -376,9 +380,9 @@ class _ProcEmitter:
         self.mod = mod
         self.program = mod.program
         self.proc = proc
-        self.dyn = mod.variant == VARIANT_DYNDEP
-        self.profile = mod.variant == VARIANT_PROFILE
-        self.cost = mod.variant == VARIANT_COST
+        self.dyn = VARIANT_DYNDEP in mod.aspects
+        self.profile = VARIANT_PROFILE in mod.aspects
+        self.cost = VARIANT_COST in mod.aspects
         self.is_main = proc.name == mod.program.main
         self.lines: List[str] = []
         self._ind = 0
@@ -524,6 +528,15 @@ class _ProcEmitter:
         v, k = self.tmp(), self.tmp()
         return [f"{v} = {val}", f"{k} = {offtext}",
                 f"{meta.buf}[{k}] = {v}", f"_cs.rw({self._key(meta)}, {k})"]
+
+    def _dd_store(self, meta: _Arr, off, val: str) -> List[str]:
+        """Instrumented store (dyndep aspect); inside a reduction
+        statement the cost aspect's region counts the same update."""
+        if not self._red:
+            return [f"_wr(_dd, {meta.buf}, {val}, {off}, {self._line})"]
+        k = self.tmp()
+        return [f"_wr(_dd, {meta.buf}, {val}, ({k} := {off}), {self._line})",
+                f"_cs.rw({self._key(meta)}, {k})"]
 
     # -- static analysis -----------------------------------------------------
     def etype(self, e: Expression) -> str:
@@ -932,8 +945,7 @@ class _ProcEmitter:
             if _buffer_backed(sym):
                 meta = self.arrays[id(sym)]
                 if self._site:
-                    return [f"_wr(_dd, {meta.buf}, {vt}, {meta.base}, "
-                            f"{self._line})"], 1 + vn
+                    return self._dd_store(meta, meta.base, vt), 1 + vn
                 return self._store_cse(meta, str(meta.base), vt,
                                        vtype), 1 + vn
             if sym.is_array:
@@ -955,8 +967,7 @@ class _ProcEmitter:
                     f"cannot transpile store to {t.symbol.name}")
             off, on = self.offset(meta, t.indices)
             if self._site:
-                return [f"_wr(_dd, {meta.buf}, {vt}, {off}, "
-                        f"{self._line})"], 1 + vn + on
+                return self._dd_store(meta, off, vt), 1 + vn + on
             # RHS text precedes the target subscript in the emitted
             # store - oracle value-then-index order
             return self._store_cse(meta, off, vt, vtype), 1 + vn + on
@@ -979,8 +990,7 @@ class _ProcEmitter:
                 if _buffer_backed(sym):
                     meta = self.arrays[id(sym)]
                     if self._site:
-                        lines.append(f"_wr(_dd, {meta.buf}, _pop(_in), "
-                                     f"{meta.base}, {self._line})")
+                        lines += self._dd_store(meta, meta.base, "_pop(_in)")
                     else:
                         lines.extend(self._store_cse(
                             meta, str(meta.base), "_pop(_in)", "?"))
@@ -1002,8 +1012,7 @@ class _ProcEmitter:
                 off, on = self.offset(meta, item.indices)
                 n += on
                 if self._site:
-                    lines.append(f"_wr(_dd, {meta.buf}, _pop(_in), "
-                                 f"{off}, {self._line})")
+                    lines += self._dd_store(meta, off, "_pop(_in)")
                 else:
                     lines.extend(self._store_cse(meta, off,
                                                  "_pop(_in)", "?"))
@@ -1628,11 +1637,13 @@ class _ProcEmitter:
 
 
 class _ModuleEmitter:
-    """Emits one whole program for one instrumentation variant."""
+    """Emits one whole program for one set of instrumentation aspects."""
 
     def __init__(self, program: Program, variant: str, skip_ids=()):
-        if variant not in (VARIANT_PLAIN, VARIANT_PROFILE,
-                           VARIANT_DYNDEP, VARIANT_COST):
+        # canonical spellings only: the label is a cache key
+        self.aspects = aspects = (() if variant == VARIANT_PLAIN
+                                  else tuple(variant.split("+")))
+        if aspects != tuple(a for a in _ASPECTS if a in aspects):
             raise TranspileUnsupported(f"unknown variant {variant!r}")
         if program.main is None:
             raise ValueError("program has no PROGRAM unit")
@@ -1641,18 +1652,12 @@ class _ModuleEmitter:
         self.skip = frozenset(skip_ids or ())
         self.loop_index = {loop.stmt_id: i
                            for i, loop in enumerate(loop_table(program))}
-        if variant == VARIANT_PROFILE:
-            self.extra_args = ", _pt, _pv, _pi, _pn, _po"
-        elif variant == VARIANT_DYNDEP:
-            self.extra_args = ", _dd"
-        elif variant == VARIANT_COST:
-            self.extra_args = ", _pf, _cs"
+        self.extra_args = "".join(_EXTRA_ARGS[a] for a in self.aspects)
+        if VARIANT_COST in self.aspects:
             # a function of the program alone, like everything else the
             # module bakes in: the plan's parallel set arrives as ``_pf``
             from .dyndep import reduction_stmt_ids
             self.red_stmts = reduction_stmt_ids(program)
-        else:
-            self.extra_args = ""
         # minimum positional arity seen per callee: array formals at or
         # past it need the unbound-None guard
         self._min_args: Dict[str, int] = {}
@@ -1676,7 +1681,7 @@ class _ModuleEmitter:
             "",
             _PREAMBLE,
         ]
-        if self.variant == VARIANT_DYNDEP:
+        if VARIANT_DYNDEP in self.aspects:
             parts.append(_DD_PREAMBLE)
         parts.append(f"\n_NLOOPS = {len(self.loop_index)}\n")
         for name in sorted(program.procedures):
@@ -1707,11 +1712,12 @@ def transpile_to_python(program: Program, variant: str = VARIANT_PLAIN,
                         skip_stmt_ids=()) -> str:
     """Generate a self-contained Python module for ``program``.
 
-    ``variant`` selects the instrumentation baked into the source
-    (:data:`VARIANT_PLAIN` / :data:`VARIANT_PROFILE` /
-    :data:`VARIANT_DYNDEP` / :data:`VARIANT_COST`); ``skip_stmt_ids`` is
-    the dyndep reduction/induction skip set, compiled to uninstrumented
-    accesses.  Raises :class:`TranspileUnsupported` for programs the
+    ``variant`` names the instrumentation baked into the source
+    (:data:`VARIANT_PLAIN`, or any of :data:`VARIANT_PROFILE` /
+    :data:`VARIANT_DYNDEP` / :data:`VARIANT_COST` joined by ``+``);
+    ``skip_stmt_ids`` is the dyndep reduction/induction skip set,
+    compiled to accesses that aspect does not see.  Raises
+    :class:`TranspileUnsupported` for programs the
     generator cannot express (the engine falls back to the oracle)."""
     return _ModuleEmitter(program, variant, skip_stmt_ids).emit()
 
@@ -1723,20 +1729,20 @@ def transpile_to_python(program: Program, variant: str = VARIANT_PLAIN,
 class TranspiledModule:
     """One generated module, exec'd and engine-ready."""
 
-    __slots__ = ("source", "namespace", "variant", "nloops")
+    __slots__ = ("source", "namespace", "nloops")
 
-    def __init__(self, source: str, namespace: Dict, variant: str,
-                 nloops: int):
+    def __init__(self, source: str, namespace: Dict, nloops: int):
         self.source = source
         self.namespace = namespace
-        self.variant = variant
         self.nloops = nloops
 
 
 _UNSUPPORTED = object()          # negative-cache sentinel
 
 #: One interactive session's worth of modules: two programs (before and
-#: after an edit) x four variants.  ``apply_assertions`` re-runs and the
+#: after an edit) x the variants it asks for (``plain``, the fused
+#: ``profile+dyndep+cost``, ``cost`` alone after a re-plan) and one to
+#: spare.  Repeated ``apply_assertions`` re-plans and the
 #: parallel backend's sequential baseline hit it; across service jobs
 #: identical requests are served by the artifact store, never from here.
 _MEMO_CAP = 8
@@ -1783,13 +1789,11 @@ def _bind_runtime(ns: Dict) -> None:
     ns["_bud"] = _raise_budget
 
 
-def _exec_module(source: str, program: Program,
-                 variant: str) -> TranspiledModule:
+def _exec_module(source: str, program: Program) -> TranspiledModule:
     ns: Dict = {}
     exec(compile(source, f"<transpiled:{program.name}>", "exec"), ns)
     _bind_runtime(ns)
-    return TranspiledModule(source, ns, variant,
-                            int(ns.get("_NLOOPS", 0)))
+    return TranspiledModule(source, ns, int(ns.get("_NLOOPS", 0)))
 
 
 def _cache_key(program: Program, variant: str,
@@ -1837,7 +1841,7 @@ def load_module(program: Program, variant: str = VARIANT_PLAIN,
         if store is not None:
             art = store.get(_store_key(key))
             if art is not None and isinstance(art.get("source"), str):
-                mod = _exec_module(art["source"], program, variant)
+                mod = _exec_module(art["source"], program)
                 with _lock:
                     _counters["hit"] += 1
                 _remember(key, mod)
@@ -1850,7 +1854,7 @@ def load_module(program: Program, variant: str = VARIANT_PLAIN,
         if key is not None:
             _remember(key, _UNSUPPORTED)
         raise
-    mod = _exec_module(source, program, variant)
+    mod = _exec_module(source, program)
     if key is not None:
         _remember(key, mod)
         with _lock:
@@ -1906,16 +1910,16 @@ class _CostRun:
 class TranspiledEngine:
     """Drop-in engine running generated Python.  Same constructor and
     public attributes as :class:`Interpreter`; observer support is
-    narrower by design — no observers (plain), or one fresh observer of
-    exactly the type a codegen variant reproduces (``LoopProfiler``,
-    ``DynamicDependenceAnalyzer``, the parallel executor's cost
-    observer).  Everything else runs on the tree oracle through the
+    narrower by design — at most one fresh observer of each exact type
+    a codegen aspect reproduces (``LoopProfiler``,
+    ``DynamicDependenceAnalyzer``, ``ParallelExecutor``).
+    Everything else runs on the tree oracle through the
     ``Observer`` protocol; ``label`` then reads ``"tree"`` and
     ``fallback`` says why."""
 
     __slots__ = ("program", "inputs", "observers", "_ops", "max_ops",
-                 "outputs", "_current_stmt", "commons", "variant",
-                 "label", "fallback", "_delegate")
+                 "outputs", "_current_stmt", "commons", "label",
+                 "fallback", "_delegate")
 
     def __init__(self, program: Program, inputs: Sequence[float] = (),
                  observers: Sequence = (),
@@ -1929,7 +1933,6 @@ class TranspiledEngine:
         self.outputs: List = []
         self.current_stmt: Optional[Statement] = None
         self.commons: Dict[str, Buffer] = {}
-        self.variant: Optional[str] = None
         self.label: Optional[str] = None
         self.fallback: Optional[str] = None
         for name, block in program.commons.items():
@@ -1958,44 +1961,45 @@ class TranspiledEngine:
         self._current_stmt = value
 
     def _select(self):
-        """``(variant, observer, None)`` or ``(None, None, reason)``.
+        """``(variant, {aspect: observer}, None)`` or ``(None, None, why)``.
 
-        A variant reproduces one observer of the *exact* type (a
+        An aspect reproduces one observer of the *exact* type (a
         subclass may override behaviour) that is *fresh* — state from
         an earlier run must keep accumulating through the callbacks."""
-        if not self.observers:
-            return VARIANT_PLAIN, None, None
-        if len(self.observers) != 1:
-            return None, None, "multiple-observers"
-        obs = self.observers[0]
         from .dyndep import DynamicDependenceAnalyzer
-        from .parallel_exec import _CostObserver
+        from .parallel_exec import ParallelExecutor
         from .profiler import LoopProfiler
-        t = type(obs)
-        if t is LoopProfiler:
-            variant, used = VARIANT_PROFILE, obs.profiles or obs._stack
-        elif t is DynamicDependenceAnalyzer:
-            variant = VARIANT_DYNDEP
-            used = (obs.carried or obs.carried_by_var or obs.witnesses
-                    or obs._last_write or obs._stack or obs._invocations
-                    or obs.sampled_accesses or obs.skipped_accesses)
-        elif t is _CostObserver:
-            variant = VARIANT_COST
-            used = obs.executor.regions or obs.executor._active
-        else:
-            return None, None, "observer-type"
-        if used:
-            return None, None, "stale-observer"
-        return variant, obs, None
+        found: Dict[str, object] = {}
+        for obs in self.observers:
+            t = type(obs)
+            if t is LoopProfiler:
+                aspect, used = VARIANT_PROFILE, obs.profiles or obs._stack
+            elif t is DynamicDependenceAnalyzer:
+                aspect = VARIANT_DYNDEP
+                used = (obs.carried or obs.carried_by_var or obs.witnesses
+                        or obs._last_write or obs._stack or obs._invocations
+                        or obs.sampled_accesses or obs.skipped_accesses)
+            elif t is ParallelExecutor:
+                aspect, used = VARIANT_COST, obs.regions or obs._active
+            else:
+                return None, None, "observer-type"
+            if aspect in found:
+                return None, None, "multiple-observers"
+            if used:
+                return None, None, "stale-observer"
+            found[aspect] = obs
+        variant = "+".join(a for a in _ASPECTS if a in found)
+        return variant or VARIANT_PLAIN, found, None
 
     def run(self) -> "TranspiledEngine":
         from ..obs import get_tracer
         if self.program.main is None:
             raise ValueError("program has no PROGRAM unit")
-        variant, special, reason = self._select()
+        variant, found, reason = self._select()
         if variant is None:
             return self._run_fallback(reason)
-        skip = special.skip_stmt_ids if variant == VARIANT_DYNDEP else ()
+        dyn = found.get(VARIANT_DYNDEP)
+        skip = dyn.skip_stmt_ids if dyn is not None else ()
         tracer = get_tracer()
         before = codegen_cache_stats()["miss"]
         try:
@@ -2005,11 +2009,10 @@ class TranspiledEngine:
                 cg.tag(cached=codegen_cache_stats()["miss"] == before)
         except TranspileUnsupported as exc:
             return self._run_fallback(f"unsupported:{exc}")
-        self.variant = variant
         self.label = f"transpiled/{variant}"
         with tracer.span("execute", engine="transpiled",
                          program=self.program.name) as sp:
-            self._execute(mod, variant, special)
+            self._execute(mod, found)
             sp.tag(ops=self.ops, variant=variant)
         return self
 
@@ -2034,8 +2037,7 @@ class TranspiledEngine:
         return self
 
     # -- execution -----------------------------------------------------------
-    def _execute(self, mod: TranspiledModule, variant: str,
-                 special) -> None:
+    def _execute(self, mod: TranspiledModule, found: Dict) -> None:
         ns = mod.namespace
         program = self.program
         cm = {name: [0.0] * block.size
@@ -2043,27 +2045,27 @@ class TranspiledEngine:
         out: List = []
         inp = list(self.inputs)
         s: List = [0, None, 0]           # ops, copy-out tuple, accesses
-        extra: tuple = ()
-        state = None
-        if variant == VARIANT_PROFILE:
+        prof, dyn, cost = (found.get(a) for a in _ASPECTS)
+        extra: List = []                 # in _EXTRA_ARGS order
+        if prof is not None:
             nl = mod.nloops
-            state = ([0] * nl, [0] * nl, [0] * nl, [False] * nl, [])
-            extra = state
-        elif variant == VARIANT_DYNDEP:
+            counts = ([0] * nl, [0] * nl, [0] * nl, [False] * nl, [])
+            extra += counts
+        if dyn is not None:
             from .dyndep import _MAX_WITNESSES
-            stride = max(1, int(special.sample_stride))
-            state = ns["_DD"](0 if stride == 1 else 2 * stride,
-                              _MAX_WITNESSES)
+            stride = max(1, int(dyn.sample_stride))
+            dd = ns["_DD"](0 if stride == 1 else 2 * stride,
+                           _MAX_WITNESSES)
             for name, lst in cm.items():
-                state.names[id(lst)] = f"/{name}/"
-            extra = (state,)
-        elif variant == VARIANT_COST:
-            state = _CostRun()
+                dd.names[id(lst)] = f"/{name}/"
+            extra.append(dd)
+        if cost is not None:
+            regions = _CostRun()
             for name, lst in cm.items():
-                state.nm[id(lst)] = f"/{name}/"
-            parallel = special.executor._parallel_ids
-            extra = ([loop.stmt_id in parallel
-                      for loop in loop_table(program)], state)
+                regions.nm[id(lst)] = f"/{name}/"
+            parallel = cost._parallel_ids
+            extra += [[loop.stmt_id in parallel
+                       for loop in loop_table(program)], regions]
         entry = ns[f"p_{program.main}"]
         stop = ns["_Stop"]
         try:
@@ -2078,12 +2080,12 @@ class TranspiledEngine:
             self.outputs = out
             for name, buf in self.commons.items():
                 buf.data[:] = cm[name]
-            if variant == VARIANT_PROFILE:
-                self._fill_profile(special, state)
-            elif variant == VARIANT_DYNDEP:
-                self._fill_dyndep(special, state)
-            elif variant == VARIANT_COST:
-                self._fill_cost(special, state)
+            if prof is not None:
+                self._fill_profile(prof, counts)
+            if dyn is not None:
+                self._fill_dyndep(dyn, dd)
+            if cost is not None:
+                self._fill_cost(cost, regions)
 
     def _fill_cost(self, obs, run: _CostRun) -> None:
         from .parallel_exec import RegionStats
@@ -2096,7 +2098,7 @@ class TranspiledEngine:
             region.accesses = accesses
             region.red_updates = red
             region.red_touched = touched
-            obs.executor.regions.append(region)
+            obs.regions.append(region)
 
     def _fill_profile(self, obs, state) -> None:
         from .profiler import LoopProfile
@@ -2130,12 +2132,7 @@ class TranspiledEngine:
             for pair in pairs:
                 if pair not in dst and len(dst) < maxw:
                     dst.append(pair)
+        # the shadow stays behind: every loop has exited and
+        # ``_invocations`` carries on, so no later activation matches it
         obs._invocations.update(
             {sid[lid]: n for lid, n in dd.inv.items()})
-        obs._buffers.update(dd.bufs)
-        for bid, sh in dd.shadow.items():
-            for off, ent in enumerate(sh):
-                if ent is not None:
-                    snap = tuple((sid[cell[0]], cell[1], it)
-                                 for cell, it in ent[0])
-                    obs._last_write[(bid, off)] = (snap, ent[1])

@@ -209,14 +209,15 @@ def test_trace_command_tree_and_chrome(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("execute_request")
     assert "phase totals" in out
-    assert "instrument.dyndep" in out and "guru" in out
+    assert "instrument " in out and "guru" in out
+    assert "aspects=profile+dyndep+cost" in out
     out_file = tmp_path / "trace.json"
     assert main(["trace", "mdg", "--export", "chrome",
                  "-o", str(out_file)]) == 0
     doc = json.loads(out_file.read_text())
     names = {e["name"] for e in doc["traceEvents"] if e.get("ph") == "X"}
-    assert {"parse", "build", "instrument.profile", "instrument.dyndep",
-            "guru", "slice"} <= names
+    assert {"parse", "build", "instrument", "guru", "parallel_exec",
+            "slice"} <= names
 
 
 def test_trace_command_unknown_target():

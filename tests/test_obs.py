@@ -211,8 +211,8 @@ def test_chrome_export_schema_is_valid():
     for e in meta:
         assert e["name"] in ("process_name", "thread_name")
     names = {e["name"] for e in complete}
-    assert {"parse", "build", "instrument.profile", "instrument.dyndep",
-            "guru", "execute_request"} <= names
+    assert {"parse", "build", "instrument", "guru",
+            "execute_request"} <= names
     assert names <= set(PHASES) | {"parallelize", "execute", "codegen",
                                    "parallel_exec", "snapshot", "slice"}
 
@@ -266,6 +266,28 @@ def test_pipeline_spans_nest_under_execute_request():
         assert sum(s["tags"][tag] for s in cones) == par["tags"][tag]
     assert 0 < par["tags"]["fm_hits"] < par["tags"]["fm_queries"]
     assert par["tags"]["fm_steps"] > 0
+    # the dynamic side is one instrumented run - one generated module,
+    # one execution - that says what it carried and which path ran;
+    # parallel_exec after it only prices the measured regions
+    phases = [s["name"] for s in spans
+              if idx.get(s["parent_id"], {}).get("name")
+              == "execute_request"]
+    assert phases[phases.index("parallelize"):][:4] == \
+        ["parallelize", "instrument", "guru", "parallel_exec"]
+    run = next(s for s in spans if s["name"] == "instrument")
+    assert sorted(s["name"] for s in spans
+                  if s["parent_id"] == run["span_id"]) == \
+        ["codegen", "execute"]
+    fused = "profile+dyndep+cost"
+    assert run["tags"]["aspects"] == fused
+    assert run["tags"]["engine_variant"] == f"transpiled/{fused}"
+    assert {"ops", "loops", "carried_loops", "carried_total",
+            "sampled_accesses", "skipped_accesses", "regions"} \
+        <= set(run["tags"])
+    pricing = next(s for s in spans if s["name"] == "parallel_exec")
+    assert not [s for s in spans if s["parent_id"] == pricing["span_id"]]
+    assert pricing["tags"]["engine_variant"] == f"transpiled/{fused}"
+    assert "speedup" in pricing["tags"]
 
 
 def test_render_tree_and_phase_totals():
@@ -277,7 +299,9 @@ def test_render_tree_and_phase_totals():
     assert any("└─" in line for line in lines)
     totals = phase_totals(spans)
     assert totals["execute_request"]["count"] == 1
-    assert totals["execute"]["count"] >= 3   # profile + dyndep + exec
+    # one instrumented run per job: one module generated, one execution
+    assert totals["instrument"]["count"] == 1
+    assert totals["codegen"]["count"] == totals["execute"]["count"] == 1
     # the root span covers every phase, so it dominates totals
     assert totals["execute_request"]["total_s"] >= \
         totals["parse"]["total_s"]
@@ -324,8 +348,7 @@ def test_inline_scheduler_records_per_job_trace():
     spans = scheduler.trace(job.id)
     assert spans is not None
     names = {s["name"] for s in spans}
-    assert {"job", "execute_request", "instrument.profile",
-            "instrument.dyndep"} <= names
+    assert {"job", "execute_request", "instrument"} <= names
     # the job span parents onto the scheduler's submit span
     submit = next(s for s in scheduler.tracer.to_dicts()
                   if s["name"] == "submit")

@@ -391,7 +391,8 @@ def test_server_rejects_removed_engine_names_and_non_boolean_flags(server):
 def test_default_engine_is_the_one_recorded_and_traced():
     """One merged default: the engine a bare request runs on is the one
     its artifact records and its root span reports, next to the label
-    of each of the three instrumented runs."""
+    of the run behind each of the three dynamic results — one fused
+    run, then the ``cost`` aspect alone after a re-plan."""
     from repro.obs import Tracer, activate
     tracer = Tracer()
     with activate(tracer):
@@ -402,10 +403,17 @@ def test_default_engine_is_the_one_recorded_and_traced():
     root = [sp for sp in tracer.to_dicts()
             if sp["name"] == "execute_request"][0]["tags"]
     assert root["engine"] == "transpiled"
+    fused = "transpiled/profile+dyndep+cost"
     assert (root["profile_engine"], root["dyndep_engine"],
-            root["simexec_engine"]) == ("transpiled/profile",
-                                        "transpiled/dyndep",
-                                        "transpiled/cost")
+            root["simexec_engine"]) == (fused, fused, fused)
+    tracer = Tracer()
+    with activate(tracer):
+        execute_request(AnalysisRequest("mdg",
+                                        options={"assertions": True}))
+    root = [sp for sp in tracer.to_dicts()
+            if sp["name"] == "execute_request"][0]["tags"]
+    assert (root["profile_engine"], root["dyndep_engine"],
+            root["simexec_engine"]) == (fused, fused, "transpiled/cost")
 
 
 # -- cross-process claim protocol ---------------------------------------------

@@ -1,8 +1,8 @@
 """Bit-parity of the transpiled (code-generating) engine vs the oracle.
 
-The transpiled engine emits plain Python source per instrumentation
-variant (``plain`` / ``profile`` / ``dyndep`` / ``cost``) and runs it;
-these tests pin the contract the generator's optimizations (range-driven
+The transpiled engine emits plain Python source per set of
+instrumentation aspects (``plain``, or any of ``profile`` / ``dyndep`` /
+``cost`` joined by ``+``) and runs it; these tests pin the contract the generator's optimizations (range-driven
 loops, merged per-iteration charges, whole-loop precharging, invariant
 hoisting, store-forwarding, coercion elision, batched access counting)
 must honor:
@@ -12,11 +12,12 @@ must honor:
 * **codegen-time instrumentation** reproduces the oracle's observer
   state exactly: LoopProfiler numbers including first-touch order,
   dyndep census / witness pairs / sampling counters at stride 1 and 2,
-  and the simulated run's per-region measurements and machine accounts,
+  and the simulated run's per-region measurements and machine accounts
+  — one aspect at a time and every combination in one run,
 * loops left early (EXIT/STOP) and runs cut short by the op budget keep
   the same partial observer data; the budget aborts with the *same*
   ``OpsBudgetExceeded`` message,
-* observer sets the generator cannot express (multiple, stale,
+* observer sets the generator cannot express (two of a type, stale,
   subclassed) **fall back** to the tree oracle (and still agree), with
   ``engine_label`` and the span's ``fallback`` tag naming what ran,
 * generated modules are **cached** — in-process memo (bounded) and the
@@ -25,6 +26,10 @@ must honor:
   helper names never capture them.
 """
 
+import hashlib
+import itertools
+import json
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -45,9 +50,25 @@ from repro.runtime.transpile import (codegen_cache_stats, compile_program,
                                      load_module, reset_codegen_cache,
                                      set_codegen_store,
                                      transpile_to_python)
-from repro.workloads import ALL
+from repro.workloads import ALL, get
+from repro.workloads.synth import pinned_slice
 
 CORPUS = sorted(ALL)
+ASPECTS = ("profile", "dyndep", "cost")
+ASPECT_SETS = [c for n in (1, 2, 3)
+               for c in itertools.combinations(ASPECTS, n)]
+
+#: Digests taken at the parent of the PR that made variants aspect sets
+#: (commit 158b516, ``CODEGEN_VERSION`` 2): ``sha256`` of
+#: ``transpile_to_python(program, variant)`` per corpus program and
+#: single-aspect variant, and ``assert_artifact_sha256`` of
+#: ``canonical_json(execute_request(AnalysisRequest(name, options=
+#: {"slice": ["targets"], "assertions": True})))``.  Regenerate both from
+#: a trusted commit with exactly those expressions when generated text
+#: (bump ``CODEGEN_VERSION``) or the artifact schema changes on purpose.
+with open(os.path.join(os.path.dirname(__file__),
+                       "golden_codegen.json")) as _fh:
+    GOLDEN = json.load(_fh)
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +182,95 @@ def test_simulated_run_parity_full_corpus(name):
     assert _accounts(runs["transpiled"]) == _accounts(runs["tree"])
 
 
+# -- aspect sets: any combination in one run ---------------------------------
+
+def _observed(prog, inputs, plan, aspects, engine, skip=None,
+              max_ops=500_000_000):
+    """One run of ``engine`` carrying fresh analyzers for ``aspects``
+    at once: what ran, plus each analyzer's state (partial after a
+    budget abort, like the oracle's)."""
+    ex = ParallelExecutor(prog, plan, ALPHASERVER_8400, inputs=inputs,
+                          engine=engine)
+    made = {"profile": LoopProfiler(),
+            "dyndep": DynamicDependenceAnalyzer(skip),
+            "cost": ex}
+    eng = make_engine(prog, inputs, max_ops=max_ops, engine=engine)
+    for aspect in aspects:
+        made[aspect].attach(eng)
+    try:
+        eng.run()
+    except OpsBudgetExceeded:
+        pass
+    for aspect in aspects:
+        made[aspect].finish()
+    state = {"outputs": eng.outputs, "ops": eng.ops}
+    if "profile" in aspects:
+        state["profile"] = _profile_state(made["profile"])
+    if "dyndep" in aspects:
+        state["dyndep"] = _dyndep_state(made["dyndep"])
+    if "cost" in aspects:
+        state["cost"] = regions_state(ex)
+    return engine_label(eng), state
+
+
+def _assert_aspect_sets_match_oracle(prog, inputs, plan, skip,
+                                     aspect_sets=ASPECT_SETS):
+    """The oracle's observers are independent of one another, so one
+    oracle run carrying all three is the reference for every subset."""
+    label, oracle = _observed(prog, inputs, plan, ASPECTS, "tree", skip)
+    assert label == "tree"
+    for aspects in aspect_sets:
+        label, fast = _observed(prog, inputs, plan, aspects,
+                                "transpiled", skip)
+        assert label == "transpiled/" + "+".join(aspects)
+        want = {k: oracle[k] for k in ("outputs", "ops") + aspects}
+        assert fast == want, f"{prog.name}: {'+'.join(aspects)} diverged"
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_aspect_set_parity_full_corpus(name):
+    """Every non-empty subset of {profile, dyndep, cost} generated into
+    one module leaves each analyzer exactly where the tree oracle
+    carrying the same observers at once leaves it — with the session's
+    reduction skip set, and (for the sets where a reduction statement is
+    both a dyndep site and a cost reduction store) without one."""
+    prog, inputs = _program(name)
+    _assert_aspect_sets_match_oracle(prog, inputs, _plan(name),
+                                     reduction_stmt_ids(prog))
+    _assert_aspect_sets_match_oracle(
+        prog, inputs, _plan(name), None,
+        [s for s in ASPECT_SETS if {"dyndep", "cost"} <= set(s)])
+
+
+def test_aspect_set_parity_synth_slice():
+    for name in pinned_slice(200):
+        w = get(name)
+        prog = build_program(w.source, w.name)
+        _assert_aspect_sets_match_oracle(
+            prog, tuple(w.inputs), Parallelizer(prog).plan(),
+            reduction_stmt_ids(prog))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_single_aspect_text_is_byte_identical_to_the_parents(name):
+    """``plain`` / ``profile`` / ``dyndep`` / ``cost`` are the 0- and
+    1-element aspect sets through the same emitter path: their generated
+    text has not moved (see ``GOLDEN``)."""
+    assert transpile.CODEGEN_VERSION == GOLDEN["codegen_version"]
+    prog, _ = _program(name)
+    for variant in ("plain",) + ASPECTS:
+        text = transpile_to_python(prog, variant)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            GOLDEN["sha256"][f"{name}/{variant}"], f"{name}/{variant}"
+
+
+def test_variant_labels_are_canonical():
+    prog, _ = _program("ora")
+    for bad in ("cost+profile", "profile+profile", "all", "", "plain+cost"):
+        with pytest.raises(transpile.TranspileUnsupported):
+            transpile_to_python(prog, bad)
+
+
 # -- early-exit control flow ---------------------------------------------------
 
 EXIT_SRC = """
@@ -232,6 +342,14 @@ def test_simulated_regions_match_on_early_loop_exit(src):
     assert runs["tree"].regions
     assert regions_state(runs["transpiled"]) == \
         regions_state(runs["tree"])
+
+
+@pytest.mark.parametrize("src", [EXIT_SRC, STOP_SRC],
+                         ids=["exit", "stop"])
+def test_fused_run_matches_on_early_loop_exit(src):
+    prog = build_program(src)
+    _assert_aspect_sets_match_oracle(prog, (), EveryLoopParallel(prog),
+                                     None, [ASPECTS])
 
 
 # -- budget enforcement -------------------------------------------------------
@@ -316,6 +434,35 @@ def test_simulated_run_budget_abort_mid_region():
     assert abs(f_seq - t_seq) <= skew
 
 
+def test_fused_run_budget_abort_mid_loop():
+    """The three aspects share one op counter, so a fused run aborts
+    where each single-aspect run does and every ``finally`` fill-back
+    delivers the same partial state; against the oracle the usual
+    batch-charging skew applies (structure equal, totals within it)."""
+    prog, inputs = _program("mdg")
+    plan, skip = _plan("mdg"), reduction_stmt_ids(prog)
+    label, fused = _observed(prog, inputs, plan, ASPECTS, "transpiled",
+                             skip, max_ops=20_000)
+    assert label == "transpiled/profile+dyndep+cost"
+    for aspect in ASPECTS:
+        _, single = _observed(prog, inputs, plan, (aspect,), "transpiled",
+                              skip, max_ops=20_000)
+        assert single == {k: fused[k] for k in single}
+    _, tree = _observed(prog, inputs, plan, ASPECTS, "tree", skip,
+                        max_ops=20_000)
+    skew = abs(fused["ops"] - tree["ops"])
+    assert skew < 1_000, "abort points wildly diverged"
+    assert [row[:1] + row[2:] for row in fused["profile"][0]] == \
+        [row[:1] + row[2:] for row in tree["profile"][0]]
+    carried, by_var, witnesses, sampled, _, invocations = fused["dyndep"]
+    assert (carried, by_var, witnesses, invocations) == \
+        tree["dyndep"][:3] + tree["dyndep"][5:]
+    assert abs(sampled - tree["dyndep"][3]) <= skew
+    assert len(tree["cost"][0]) > 1, "the budget must trip after regions"
+    assert fused["cost"][0][:-1] == tree["cost"][0][:-1]
+    assert fused["cost"][0][-1][0] == tree["cost"][0][-1][0]
+
+
 # -- witness bookkeeping -------------------------------------------------------
 
 MANY_READERS_SRC = """
@@ -374,32 +521,48 @@ def _execute_spans(tracer):
 
 
 def test_extra_observers_fall_back_and_agree():
-    """Profiler + dyndep attached together has no codegen variant: the
-    transpiled engine must delegate to the oracle's observer protocol
-    (while the profiler reads live op counts through the engine it is
-    attached to) and the pair must match the oracle pair."""
+    """Profiler + dyndep attached together are two aspects of one
+    generated module — no fallback, and the pair matches the oracle
+    pair.  ``multiple-observers`` now means only what the generator
+    really cannot express: two observers of one type (both accumulate
+    through the oracle's protocol, reading live op counts through the
+    engine they are attached to).  A stale observer in an otherwise
+    valid set still names itself."""
     from repro.obs import Tracer, activate
     prog, inputs = _program("mgrid")
+
+    def run(observers, engine="transpiled"):
+        eng = make_engine(prog, inputs, engine=engine)
+        for obs in observers:
+            obs.attach(eng)
+        tracer = Tracer()
+        with activate(tracer):
+            eng.run()
+        for obs in observers:
+            obs.finish()
+        return eng, _execute_spans(tracer)[0]
+
     p, d = LoopProfiler(), DynamicDependenceAnalyzer()
-    eng = make_engine(prog, inputs, engine="transpiled")
-    p.attach(eng)
-    d.attach(eng)
-    tracer = Tracer()
-    with activate(tracer):
-        eng.run()
-    p.finish()
-    assert engine_label(eng) == "tree"
-    assert eng.fallback == "multiple-observers"
-    assert _execute_spans(tracer)[0]["fallback"] == "multiple-observers"
+    eng, span = run([p, d])
+    assert engine_label(eng) == "transpiled/profile+dyndep"
+    assert eng.fallback is None and "fallback" not in span
+    assert span["variant"] == "profile+dyndep"
     tp, td = LoopProfiler(), DynamicDependenceAnalyzer()
-    teng = make_engine(prog, inputs, engine="tree")
-    tp.attach(teng)
-    td.attach(teng)
-    teng.run()
-    tp.finish()
+    teng, _ = run([tp, td], engine="tree")
     assert _profile_state(p) == _profile_state(tp)
     assert _dyndep_state(d) == _dyndep_state(td)
     assert eng.ops == teng.ops and eng.outputs == teng.outputs
+
+    twins = [LoopProfiler(), LoopProfiler()]
+    eng, span = run(twins)
+    assert engine_label(eng) == "tree"
+    assert eng.fallback == span["fallback"] == "multiple-observers"
+    assert _profile_state(twins[0]) == _profile_state(twins[1]) == \
+        _profile_state(tp)
+
+    eng, span = run([p, DynamicDependenceAnalyzer()])    # p is used now
+    assert engine_label(eng) == "tree"
+    assert eng.fallback == span["fallback"] == "stale-observer"
 
 
 def test_stale_analyzer_falls_back_to_generic_path():
@@ -421,6 +584,39 @@ def test_stale_analyzer_falls_back_to_generic_path():
         _run_dyndep(prog, inputs, analyzer=ref, engine="tree")
     assert _dyndep_state(d2) == _dyndep_state(ref)
     assert d2.sampled_accesses == 2 * once[3]
+
+
+@pytest.mark.parametrize("name", ["mgrid", "su2cor", "appbt"])
+def test_used_analyzer_accumulates_the_same_after_either_engine(name):
+    """The generated run does not hand its shadow memory back as the
+    oracle's ``_last_write``: once a run has completed every loop
+    invocation in it is over and ``_invocations`` carries on, so no
+    write snapshot can match a later run's activations.  Hence a used
+    analyzer is still caught as stale (by its counters) and ends a
+    second run in the same state whether its first run was generated or
+    the oracle's.  (Completed first runs only: after a budget abort the
+    oracle keeps its ``_stack`` and a generated run never handed that
+    over.)"""
+    prog, inputs = _program(name)
+    skip = reduction_stmt_ids(prog)
+    states = {}
+    for first in ("tree", "transpiled"):
+        d = DynamicDependenceAnalyzer(skip)
+        _, eng = _run_dyndep(prog, inputs, analyzer=d, engine=first)
+        assert bool(d._last_write) == (first == "tree")
+        _, eng = _run_dyndep(prog, inputs, analyzer=d)
+        assert engine_label(eng) == "tree"
+        assert eng.fallback == "stale-observer"
+        states[first] = _dyndep_state(d)
+    assert states["transpiled"] == states["tree"]
+
+
+def test_oracle_first_analyzer_is_stale_by_its_last_write_alone():
+    prog, inputs = _program("ora")
+    d = DynamicDependenceAnalyzer()
+    d._last_write[(0, 0)] = ((), 0)
+    _, eng = _run_dyndep(prog, inputs, analyzer=d)
+    assert eng.fallback == "stale-observer"
 
 
 def test_stale_profiler_reports_tree_and_reason():
@@ -518,10 +714,10 @@ def test_compile_program_memoizes_on_source_hash():
 def test_memo_is_bounded_and_serves_a_session_rerun():
     """The in-process memo holds one session's worth of modules: it
     never grows past its cap, and re-running a program after
-    ``apply_assertions`` (a new plan over the same source) is a codegen
-    hit for all three instrumented variants — the plan's parallel set
-    is a run-time argument of the ``cost`` module, not part of its
-    key."""
+    ``apply_assertions`` (a new plan over the same source) generates
+    one more module, the ``cost`` aspect alone — the plan's parallel set
+    is a run-time argument of it, not part of its key, so a second
+    re-plan would hit."""
     from repro.explorer.session import ExplorerSession
     set_codegen_store(None)
     reset_codegen_cache()
@@ -538,14 +734,54 @@ def test_memo_is_bounded_and_serves_a_session_rerun():
     session = ExplorerSession(w.build(), inputs=w.inputs)
     session.run_automatic()
     first = codegen_cache_stats()
-    assert first == {"hit": 0, "miss": 3}
+    assert first == {"hit": 0, "miss": 1}
+    fused = "transpiled/profile+dyndep+cost"
+    assert session.engine_labels == {
+        "profile": fused, "dyndep": fused, "parallel_exec": fused}
     before = len(session.plan.parallel_loops())
     session.apply_assertions(w.user_assertions)
     assert len(session.plan.parallel_loops()) > before
-    assert codegen_cache_stats() == {"hit": 3, "miss": 3}
+    assert codegen_cache_stats() == {"hit": 0, "miss": 2}
     assert session.engine_labels == {
-        "profile": "transpiled/profile", "dyndep": "transpiled/dyndep",
+        "profile": fused, "dyndep": fused,
         "parallel_exec": "transpiled/cost"}
+
+
+@pytest.mark.parametrize("name", ["mdg", "hydro", "flo88"])
+def test_replan_keeps_profile_and_dyndep_and_measures_cost_only(name):
+    """Profile and dependences are functions of (program, inputs) alone:
+    ``apply_assertions`` keeps the session's analyzers and runs the
+    program once more for the new plan's regions only."""
+    from repro.explorer.session import ExplorerSession
+    from repro.obs import Tracer, activate
+    w = ALL[name]
+    session = ExplorerSession(w.build(), inputs=w.inputs)
+    session.run_automatic()
+    kept = (session.profiler, session.dyndep)
+    tracer = Tracer()
+    with activate(tracer):
+        session.apply_assertions(w.user_assertions)
+    assert (session.profiler, session.dyndep) == kept
+    assert [(t["variant"], t["ops"]) for t in _execute_spans(tracer)] == \
+        [("cost", session.profiler.total_ops)]
+    spans = {sp["name"]: sp["tags"] for sp in tracer.to_dicts()}
+    assert spans["instrument"]["aspects"] == "cost"
+    assert spans["parallel_exec"]["engine_variant"] == "transpiled/cost"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["assert_artifact_sha256"]))
+def test_asserted_artifact_is_byte_identical_to_the_parents(name):
+    """Every corpus workload with ``user_assertions``: the job that
+    fuses the first run and re-measures ``{cost}`` after the assertions
+    answers with the bytes the three-runs-twice parent did."""
+    from repro.service.artifacts import canonical_json
+    from repro.service.jobs import AnalysisRequest, execute_request
+    assert sorted(n for n in ALL if ALL[n].user_assertions) == \
+        sorted(GOLDEN["assert_artifact_sha256"])
+    artifact = execute_request(AnalysisRequest(
+        name, options={"slice": ["targets"], "assertions": True}))
+    assert hashlib.sha256(canonical_json(artifact).encode()).hexdigest() \
+        == GOLDEN["assert_artifact_sha256"][name]
 
 
 def test_persistent_store_serves_generated_source(tmp_path):
