@@ -37,6 +37,7 @@ which writes ``BENCH_incremental.json`` at the repo root —
 from __future__ import annotations
 
 import json
+import os
 import platform
 import shutil
 import tempfile
@@ -44,12 +45,19 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
-from bench_perf_parallel import host_cores
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.ir import build_program
 from repro.service.artifacts import ArtifactStore, canonical_json
 from repro.service.jobs import AnalysisRequest, execute_request
 from repro.workloads import get
+
+
+def host_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
 
 WORKLOADS = ("mdg", "flo88", "hydro2d")
 #: procedure edited for the warm-edit regime — a leaf-ish init routine

@@ -7,19 +7,17 @@
 #   1. the tier-1 pytest suite (correctness, soundness fuzzing,
 #      service determinism, observability contracts),
 #   2. the performance gates (ops/sec vs the committed
-#      BENCH_engine.json, BENCH_parallel.json, and
-#      BENCH_incremental.json baselines; also enforces the transpiled
-#      engine's 20x-over-tree contract on mdg, warm incremental
-#      re-analysis's 10x-over-cold-pipeline contract with bit parity,
-#      and — on hosts with >= 4 free cores — real parallel execution's
-#      1.5x-at-4-workers contract with bit-parity on every host),
+#      BENCH_engine.json and BENCH_incremental.json baselines; also
+#      enforces the transpiled engine's 20x-over-tree contract on mdg
+#      and warm incremental re-analysis's 10x-over-cold-pipeline
+#      contract with bit parity),
 #   3. the end-to-end HTTP service smoke test (submit / poll /
 #      artifact / cache-repeat / metrics),
 #   4. the fault-injected serve smoke (seeded worker crashes retried,
 #      hung job killed by its deadline, service stays healthy),
 #   5. the generated-corpus gates: a pinned 50-seed synth parity slice
-#      (4-way engine/parallel bit-parity + determinism + lazy
-#      registration) and the quick service soak (dedupe, GC bounds,
+#      (engine/simulated-run bit-parity + plan oracle + determinism +
+#      lazy registration) and the quick service soak (dedupe, GC bounds,
 #      breaker quiescence, bit-stable artifacts).  REPRO_SYNTH_N is the
 #      scale knob — the tier-1 default is 200; soak runs use 500+
 #      (e.g. `REPRO_SYNTH_N=500 python scripts/soak_check.py`),
@@ -45,9 +43,8 @@ export PYTHONPATH=src
 echo "== [1/7] tier-1 test suite =="
 python -m pytest -x -q
 
-echo "== [2/7] performance gates (engine + parallel + incremental) =="
+echo "== [2/7] performance gates (engine + incremental) =="
 python scripts/perf_check.py --only engine
-python scripts/perf_check.py --only parallel
 python scripts/perf_check.py --only incremental
 
 echo "== [3/7] service smoke test =="

@@ -1,19 +1,15 @@
 #!/usr/bin/env python
-"""Performance regression gate for the engines, backends and service.
+"""Performance regression gate for the engines and service.
 
-Re-runs ``benchmarks/bench_perf_engine.py`` (clean execution),
-``benchmarks/bench_perf_parallel.py`` (real multi-core execution), and
+Re-runs ``benchmarks/bench_perf_engine.py`` (clean execution) and
 ``benchmarks/bench_perf_incr.py`` (incremental re-analysis) and
 compares fresh numbers against the committed baselines
-``BENCH_engine.json``, ``BENCH_parallel.json``, and
-``BENCH_incremental.json``.  Fails (exit 1) when any path regresses by
-more than ``--tolerance`` (default 20%) on any workload, when the
-transpiled engine drops below the 20x-over-tree contract on mdg, when a
-warm-edit re-analysis drops below the 10x-over-cold-pipeline contract
-(or loses bit parity with a cold run), or — on hosts with >= 4 free
-cores — when real parallel execution drops below the
-1.5x-at-4-workers contract (bit-parity and the monotonic
-predicted-speedup shape gate on every host).  The ``service`` gate
+``BENCH_engine.json`` and ``BENCH_incremental.json``.  Fails (exit 1)
+when any path regresses by more than ``--tolerance`` (default 20%) on
+any workload, when the transpiled engine drops below the
+20x-over-tree contract on mdg, or when a warm-edit re-analysis drops
+below the 10x-over-cold-pipeline contract (or loses bit parity with a
+cold run).  The ``service`` gate
 (``benchmarks/bench_perf_service.py`` vs ``BENCH_service.json``)
 checks warm ``POST /jobs`` throughput at 16 concurrent clients against
 its baseline and enforces the single-flight contract: a cold 64-client
@@ -43,7 +39,6 @@ sys.path.insert(0, str(REPO / "benchmarks"))
 
 import bench_perf_engine  # noqa: E402
 import bench_perf_incr  # noqa: E402
-import bench_perf_parallel  # noqa: E402
 import bench_perf_service  # noqa: E402
 
 
@@ -69,44 +64,6 @@ def compare_engine(baseline: dict, fresh: dict, tolerance: float) -> list:
         failures.append(
             f"engine/mdg: transpiled/tree speedup {mdg['speedup']:.2f}x "
             f"below the {bench_perf_engine.MIN_SPEEDUP}x contract")
-    return failures
-
-
-def compare_parallel(baseline: dict, fresh: dict, tolerance: float) -> list:
-    """Failure messages for the real-parallel-execution gate.
-
-    Bit-parity, the monotonic predicted-speedup shape, and the
-    sequential-throughput regression check gate on every host; the
-    measured ≥``MIN_PARALLEL_SPEEDUP``x-at-4-workers contract and the
-    measured-speedup shape only gate on hosts with enough free cores
-    (measured wall speedups on a 1-core box are time-slicing noise)."""
-    failures = []
-    if not fresh["parity"]:
-        failures.append("parallel: execution diverged from the "
-                        "sequential transpiled engine")
-    counts = sorted(int(k) for k in fresh["predicted"])
-    pred = [fresh["predicted"][str(p)] for p in counts]
-    if pred != sorted(pred):
-        failures.append(f"parallel: predicted speedups not monotonic "
-                        f"over {counts}: {pred}")
-    was = baseline["seq"]["ops_per_sec"]
-    now = fresh["seq"]["ops_per_sec"]
-    if now < was * (1.0 - tolerance):
-        failures.append(
-            f"parallel/seq: {now / 1e6:.2f}M ops/s is "
-            f"{(1 - now / was):.0%} below baseline {was / 1e6:.2f}M "
-            f"ops/s (tolerance {tolerance:.0%})")
-    if fresh["host"]["cores"] >= bench_perf_parallel.MIN_CORES_FOR_SPEEDUP:
-        sp = fresh["workers"]["4"]["speedup"]
-        if sp < bench_perf_parallel.MIN_PARALLEL_SPEEDUP:
-            failures.append(
-                f"parallel: measured speedup {sp:.2f}x at 4 workers "
-                f"below the "
-                f"{bench_perf_parallel.MIN_PARALLEL_SPEEDUP}x contract")
-        measured = [fresh["workers"][str(p)]["speedup"] for p in counts]
-        if any(b < a * 0.9 for a, b in zip(measured, measured[1:])):
-            failures.append(f"parallel: measured speedups not "
-                            f"(near-)monotonic over {counts}: {measured}")
     return failures
 
 
@@ -171,7 +128,6 @@ def compare_service(baseline: dict, fresh: dict, tolerance: float) -> list:
 #: (label, bench module, comparator)
 GATES = (
     ("engine", bench_perf_engine, compare_engine),
-    ("parallel", bench_perf_parallel, compare_parallel),
     ("incremental", bench_perf_incr, compare_incremental),
     ("service", bench_perf_service, compare_service),
 )
@@ -182,17 +138,6 @@ def _print_engine(fresh: dict) -> None:
         print(f"{name:10s} tree={r['tree']['ops_per_sec'] / 1e6:5.2f}M/s  "
               f"transpiled={r['transpiled']['ops_per_sec'] / 1e6:6.2f}M/s  "
               f"speedup={r['speedup']:.2f}x")
-
-
-def _print_parallel(fresh: dict) -> None:
-    print(f"seq        {fresh['seq']['seconds']:.3f}s  "
-          f"{fresh['seq']['ops_per_sec'] / 1e6:.2f}M ops/s  "
-          f"(host cores: {fresh['host']['cores']})")
-    for w, r in fresh["workers"].items():
-        print(f"workers={w}  {r['seconds']:.3f}s  "
-              f"measured={r['speedup']:.2f}x  "
-              f"predicted={fresh['predicted'][w]:.2f}x  "
-              f"parity={'ok' if r['parity'] else 'DIVERGED'}")
 
 
 def _print_incremental(fresh: dict) -> None:
@@ -214,8 +159,7 @@ def _print_service(fresh: dict) -> None:
           f"bit-identical={storm['bit_identical']}")
 
 
-PRINTERS = {"engine": _print_engine, "parallel": _print_parallel,
-            "incremental": _print_incremental,
+PRINTERS = {"engine": _print_engine, "incremental": _print_incremental,
             "service": _print_service}
 
 

@@ -14,9 +14,6 @@ Commands mirror the Explorer workflow on mini-Fortran source files:
   dependences observed in one instrumented execution (reports which
   execution engine ran on stderr),
 * ``slice``       — slice a variable's uses inside a loop,
-* ``parallel``    — execute the plan's DOALL loops on real cores
-  (worker processes over shared memory) and verify bit-parity against
-  the sequential transpiled engine,
 * ``advise``      — memory-performance advisories,
 * ``compile``     — transpile to a self-contained Python module,
 * ``batch``       — run many workloads through the cached process-pool
@@ -268,41 +265,6 @@ def cmd_slice(args) -> int:
         region_loop=loop if args.region_restricted else None)
     print(render_slice(program, res, around_loop=loop))
     return 0
-
-
-def cmd_parallel(args) -> int:
-    import time
-    from .runtime.par_backend import ParallelRunner
-    from .runtime.transpile import load_module
-    program, inputs, assertions = _load(args.target)
-    if args.inputs:
-        inputs = [float(x) for x in args.inputs]
-    plan = Parallelizer(
-        program,
-        assertions=assertions if args.assertions else []).plan()
-    runner = ParallelRunner(program, plan, workers=args.workers)
-    t0 = time.perf_counter()
-    result = runner.execute(inputs)
-    par_wall = time.perf_counter() - t0
-    for value in result.outputs:
-        print(value)
-    run = load_module(program).namespace["run"]
-    t0 = time.perf_counter()
-    seq_out = run(inputs)
-    seq_wall = time.perf_counter() - t0
-    parity = "bit-identical" if seq_out == result.outputs else "DIVERGED"
-    npar = len(plan.parallel_loops())
-    print(f"[{result.ops} ops; {result.workers} workers; "
-          f"{result.offloaded}/{npar} parallel loops offloadable; "
-          f"{result.dispatches} dispatches, {result.declined} declined]",
-          file=sys.stderr)
-    print(f"[wall {par_wall:.3f}s parallel vs {seq_wall:.3f}s "
-          f"sequential ({seq_wall / par_wall:.2f}x); outputs {parity} "
-          f"to the transpiled engine]", file=sys.stderr)
-    if args.rejects and result.rejects:
-        for loop, why in sorted(result.rejects.items()):
-            print(f"[not offloadable: {loop}: {why}]", file=sys.stderr)
-    return 0 if seq_out == result.outputs else 1
 
 
 def cmd_compile(args) -> int:
@@ -597,19 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("advise", help="memory-performance advisories")
     p.add_argument("target")
     p.set_defaults(func=cmd_advise)
-
-    p = sub.add_parser("parallel", help="execute DOALL loops on real "
-                       "cores and check parity against the sequential "
-                       "transpiled engine")
-    p.add_argument("target")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker process count (default 2)")
-    p.add_argument("--inputs", nargs="*", help="values for READ statements")
-    p.add_argument("--assertions", action="store_true",
-                   help="apply the workload's user assertions to the plan")
-    p.add_argument("--rejects", action="store_true",
-                   help="list parallel loops codegen could not offload")
-    p.set_defaults(func=cmd_parallel)
 
     p = sub.add_parser("compile", help="transpile to a Python module")
     p.add_argument("target")

@@ -250,23 +250,6 @@ class ExplorerSession:
         return parallel_granularity_ms(self.program, self.plan,
                                        self.profiler, self.machine)
 
-    # -- real execution ----------------------------------------------------
-    def parallel_execute(self, workers: int = 2, **runner_kwargs):
-        """Execute the current plan on actual cores (the par_backend).
-
-        Needs a plan; builds one with the session's settings if
-        :meth:`run_automatic` has not run yet.  Returns a
-        :class:`~repro.runtime.par_backend.ParallelRunResult` whose
-        outputs, COMMON memory, and op count are bit-identical to the
-        sequential transpiled engine.
-        """
-        from ..runtime.par_backend import ParallelRunner
-        if self.plan is None:
-            self.plan = self.analyzer.plan(self.assertions)
-        runner = ParallelRunner(self.program, self.plan,
-                                workers=workers, **runner_kwargs)
-        return runner.execute(self.inputs, max_ops=self.max_ops)
-
     # -- phase 2: slicing assistance --------------------------------------------
     @property
     def slicer(self) -> Slicer:

@@ -19,9 +19,8 @@ __all__ = ["to_chrome", "render_tree", "span_index", "phase_totals"]
 #: dashboards and tests can rely on them.
 PHASES = ("parse", "build", "execute", "codegen", "parallelize",
           "instrument", "instrument.profile", "instrument.dyndep", "guru",
-          "slice", "parallel_exec", "parallel.exec", "parallel.merge",
-          "snapshot", "execute_request", "job", "submit",
-          "analyze", "incr.cone", "incr.reuse")
+          "slice", "parallel_exec", "snapshot", "execute_request", "job",
+          "submit", "analyze", "incr.cone", "incr.reuse")
 
 
 def _as_dicts(spans: Sequence[Union[Span, Dict]]) -> List[Dict]:

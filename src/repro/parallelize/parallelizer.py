@@ -62,6 +62,32 @@ class Assertion:
         return f"Assertion({self.loop_name}, {self.var_name}, {self.kind})"
 
 
+def common_member_spans(program: Program, block_name: str
+                        ) -> List[Tuple[int, int, frozenset]]:
+    """Union-find of a COMMON block's members (across all views) by
+    storage overlap: [(first offset, last offset, member-name set)]
+    sorted by offset.  Members whose ranges overlap in some pair of
+    views genuinely alias and form one group; the planner refines a
+    block location into one location per group."""
+    block = program.commons.get(block_name)
+    members = []
+    if block is not None:
+        for view in block.views.values():
+            for sym in view.symbols:
+                lo = sym.common_offset
+                hi = lo + (sym.constant_size() or 1) - 1
+                members.append((lo, hi, sym.name))
+    members.sort()
+    groups: List[List] = []
+    for lo, hi, name in members:
+        if groups and lo <= groups[-1][1]:
+            groups[-1][1] = max(groups[-1][1], hi)
+            groups[-1][2].add(name)
+        else:
+            groups.append([lo, hi, {name}])
+    return [(lo, hi, frozenset(names)) for lo, hi, names in groups]
+
+
 class Parallelizer:
     """Drive all static analyses and produce a :class:`ProgramPlan`."""
 
@@ -203,36 +229,19 @@ class Parallelizer:
             yield (key[0], key[1], gidx), sub, gsyms, span
 
     def _member_groups(self, block_name: str):
-        """Union-find of a block's members (across all views) by storage
-        overlap; returns [(span section, member-name set)] sorted by
-        offset."""
+        """:func:`common_member_spans` as block-coordinate sections:
+        [(span section, member-name set)] sorted by offset."""
         cached = self._member_groups_cache.get(block_name)
         if cached is not None:
             return cached
         from ..poly import Constraint, LinExpr, Section, System, dim
-        block = self.program.commons.get(block_name)
-        members = []
-        if block is not None:
-            for view in block.views.values():
-                for sym in view.symbols:
-                    lo = sym.common_offset
-                    hi = lo + (sym.constant_size() or 1) - 1
-                    members.append((lo, hi, sym.name))
-        members.sort()
-        groups: List[List] = []
-        for lo, hi, name in members:
-            if groups and lo <= groups[-1][1]:
-                groups[-1][1] = max(groups[-1][1], hi)
-                groups[-1][2].add(name)
-            else:
-                groups.append([lo, hi, {name}])
         out = []
         v = LinExpr.var(dim(0))
-        for lo, hi, names in groups:
+        for lo, hi, names in common_member_spans(self.program, block_name):
             span = Section([System([
                 Constraint.ge(v, LinExpr.constant(lo)),
                 Constraint.le(v, LinExpr.constant(hi))])])
-            out.append((span, frozenset(names)))
+            out.append((span, names))
         self._member_groups_cache[block_name] = out
         return out
 

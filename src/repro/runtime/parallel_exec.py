@@ -199,72 +199,6 @@ class ParallelExecutor(Observer):
         (used by the Fig 5-12 sweep)."""
         return {p: self.account(p) for p in processor_counts}
 
-    # -- real execution (the par_backend bridge) ---------------------------
-    def execute(self, processors: int = 2, **runner_kwargs):
-        """Run the program's DOALL plan on actual cores.
-
-        Unlike :meth:`account`, which *prices* one instrumented run
-        under the cost model, this executes the plan for real:
-        offloadable loops are chunked over ``processors`` worker
-        processes against shared-memory COMMON storage, bit-identical
-        to ``engine="transpiled"`` (outputs, COMMON memory, op counts).
-        Returns a :class:`~repro.runtime.par_backend.ParallelRunResult`.
-        """
-        from .par_backend import ParallelRunner
-        runner = ParallelRunner(self.program, self.plan,
-                                workers=processors, **runner_kwargs)
-        return runner.execute(self.inputs, max_ops=self.max_ops)
-
-    def speedup_report(self, counts: Sequence[int] = (1, 2, 4),
-                       repeats: int = 1, **runner_kwargs) -> dict:
-        """Measured-vs-predicted speedups over a processor sweep.
-
-        One simulator measurement prices every count; each count is
-        then actually executed ``repeats`` times (best wall time kept)
-        and compared against the sequential transpiled engine's wall
-        time.  Measured speedups only mean something on a host with
-        that many free cores — the report records the host core count
-        so callers can judge.
-        """
-        import os
-        import time
-        from .transpile import load_module
-
-        run = load_module(self.program).namespace["run"]
-        seq_wall = None
-        outputs = None
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            outputs = run(self.inputs, max_ops=self.max_ops)
-            dt = time.perf_counter() - t0
-            seq_wall = dt if seq_wall is None else min(seq_wall, dt)
-
-        rows = []
-        for p in counts:
-            predicted = self.account(p).speedup
-            best = None
-            res = None
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter()
-                res = self.execute(processors=p, **runner_kwargs)
-                dt = time.perf_counter() - t0
-                best = dt if best is None else min(best, dt)
-            rows.append({
-                "processors": p,
-                "wall_s": best,
-                "measured_speedup": seq_wall / best if best else 1.0,
-                "predicted_speedup": predicted,
-                "ops": res.ops,
-                "dispatches": res.dispatches,
-                "identical": res.outputs == outputs,
-            })
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except AttributeError:
-            cores = os.cpu_count() or 1
-        return {"seq_wall_s": seq_wall, "host_cores": cores,
-                "rows": rows}
-
     # -- region tracking -----------------------------------------------------
     def on_loop_enter(self, loop: LoopStmt) -> None:
         if self._active is not None:

@@ -361,17 +361,6 @@ def _has_shallow_exit(block: Block) -> bool:
     return False
 
 
-class _LoopHead:
-    """Codegen-time facts about one loop, computed by
-    ``_ProcEmitter._emit_loop_head`` and consumed by
-    ``_emit_loop_body`` (and by the parallel backend's dispatch
-    sites, which sit between the two)."""
-
-    __slots__ = ("has_call", "need_cycle", "need_exit", "seed_iter",
-                 "precharge", "sym", "shadow", "mirror", "lo_t", "hi_t",
-                 "st_t", "step_const", "rng")
-
-
 class _ProcEmitter:
     """Emits one procedure as a Python function: per-block op batching,
     range-driven loop drivers, and the shared-cell call protocol."""
@@ -1085,47 +1074,35 @@ class _ProcEmitter:
         return name
 
     def emit_loop(self, loop: LoopStmt) -> None:
-        head = self._emit_loop_head(loop)
-        self._emit_loop_body(loop, head)
-
-    def _emit_loop_head(self, loop: LoopStmt) -> "_LoopHead":
-        """Charge the loop head and evaluate bounds into temps, ending
-        with the ``range`` object.  Split from the body emission so the
-        parallel backend can interpose a dispatch decision *after* the
-        (side-effecting, op-charged) bound evaluation but *before* the
-        sequential loop drivers; the generated text for a plain
-        head+body emission is bit-identical to the pre-split layout."""
+        """Charge the loop head, evaluate bounds into temps, then emit
+        the ``range``-driven body with each aspect's bookkeeping."""
         self.set_site(loop)
-        head = _LoopHead()
         stmts = list(loop.body.walk())
-        head.has_call = has_call = any(isinstance(x, CallStmt)
-                                       for x in stmts)
-        head.need_cycle = has_call or any(isinstance(x, CycleStmt)
-                                          for x in stmts)
-        head.need_exit = has_call or _has_shallow_exit(loop.body)
+        has_call = any(isinstance(x, CallStmt) for x in stmts)
+        need_cycle = has_call or any(isinstance(x, CycleStmt)
+                                     for x in stmts)
+        need_exit = has_call or _has_shallow_exit(loop.body)
         # the per-iteration +1 folds into the body's first batch charge
         # only when no unwind can skip it (the oracle drops it on
         # EXIT/STOP/RETURN and on a CYCLE crossing to an outer loop)
-        head.seed_iter = not any(
+        seed_iter = not any(
             isinstance(x, (CallStmt, ExitStmt, StopStmt, ReturnStmt,
                            CycleStmt)) for x in stmts)
         # straight-line bodies under the plain variant hoist the whole
         # per-iteration charge out of the loop: one precomputed
         # (batch + 1) * trips charge, zero accounting inside
-        head.precharge = (not self.profile and not self.dyn
-                          and not self.cost
-                          and all(isinstance(x, (AssignStmt, IoStmt,
-                                                 NoopStmt))
-                                  for x in loop.body.statements))
+        precharge = (not self.profile and not self.dyn and not self.cost
+                     and all(isinstance(x, (AssignStmt, IoStmt, NoopStmt))
+                             for x in loop.body.statements))
 
-        head.sym = sym = loop.index
+        sym = loop.index
         if sym.is_array:
             raise TranspileUnsupported(
                 f"array symbol {sym.name} as loop index")
         # buffer-backed / const indices: the oracle's index store lands
         # in frame.scalars where reads never see it -> invisible mirror
-        head.shadow = shadow = _buffer_backed(sym) or sym.is_const
-        head.mirror = shadow or self._index_written(loop)
+        shadow = _buffer_backed(sym) or sym.is_const
+        mirror = shadow or self._index_written(loop)
 
         def bound_n(e) -> int:
             return 1 if _const_index(e) is not None else self.expr(e)[1]
@@ -1137,9 +1114,8 @@ class _ProcEmitter:
         self.touch(self.events([e for e in (loop.low, loop.high, loop.step)
                                 if e is not None]))
 
-        head.lo_t = lo_t = self._bound(loop.low, "_lo")
-        head.hi_t = self._bound(loop.high, "_hi")
-        hi_t = head.hi_t
+        lo_t = self._bound(loop.low, "_lo")
+        hi_t = self._bound(loop.high, "_hi")
         step_const: Optional[int] = 1
         st_t = "1"
         if loop.step is not None:
@@ -1152,10 +1128,8 @@ class _ProcEmitter:
                 self.w(f"    raise _Err({('zero step in ' + loop.name)!r})")
         if step_const == 0:
             self.w(f"raise _Err({('zero step in ' + loop.name)!r})")
-        head.step_const = step_const
-        head.st_t = st_t
 
-        head.rng = rng = self.tmp("_rng")
+        rng = self.tmp("_rng")
         if step_const is None:
             self.w(f"{rng} = range({lo_t}, {hi_t} + "
                    f"(1 if {st_t} > 0 else -1), {st_t})")
@@ -1165,22 +1139,6 @@ class _ProcEmitter:
             self.w(f"{rng} = range({lo_t}, {hi_t} + 1, {st_t})")
         else:
             self.w(f"{rng} = range({lo_t}, {hi_t} - 1, {st_t})")
-        return head
-
-    def _emit_loop_body(self, loop: LoopStmt, head: "_LoopHead") -> None:
-        """Sequential loop drivers and body for an already-emitted head
-        (same generated text as the pre-split ``emit_loop``)."""
-        need_cycle = head.need_cycle
-        need_exit = head.need_exit
-        seed_iter = head.seed_iter
-        precharge = head.precharge
-        sym = head.sym
-        shadow = head.shadow
-        mirror = head.mirror
-        lo_t = head.lo_t
-        step_const = head.step_const
-        st_t = head.st_t
-        rng = head.rng
 
         L = None
         if self.profile or self.dyn or self.cost:
@@ -1742,9 +1700,9 @@ _UNSUPPORTED = object()          # negative-cache sentinel
 #: One interactive session's worth of modules: two programs (before and
 #: after an edit) x the variants it asks for (``plain``, the fused
 #: ``profile+dyndep+cost``, ``cost`` alone after a re-plan) and one to
-#: spare.  Repeated ``apply_assertions`` re-plans and the
-#: parallel backend's sequential baseline hit it; across service jobs
-#: identical requests are served by the artifact store, never from here.
+#: spare.  Repeated ``apply_assertions`` re-plans hit it; across service
+#: jobs identical requests are served by the artifact store, never from
+#: here.
 _MEMO_CAP = 8
 _lock = threading.Lock()
 _memo: "OrderedDict[tuple, object]" = OrderedDict()
@@ -1782,17 +1740,13 @@ def _raise_budget(ops, mo):
     raise budget_error(ops, mo)
 
 
-def _bind_runtime(ns: Dict) -> None:
-    """Swap a module's self-contained error/budget shims for the
-    runtime's real types so both engines raise identically."""
-    ns["_Err"] = RuntimeErrorInProgram
-    ns["_bud"] = _raise_budget
-
-
 def _exec_module(source: str, program: Program) -> TranspiledModule:
     ns: Dict = {}
     exec(compile(source, f"<transpiled:{program.name}>", "exec"), ns)
-    _bind_runtime(ns)
+    # swap the module's self-contained error/budget shims for the
+    # runtime's real types so both engines raise identically
+    ns["_Err"] = RuntimeErrorInProgram
+    ns["_bud"] = _raise_budget
     return TranspiledModule(source, ns, int(ns.get("_NLOOPS", 0)))
 
 

@@ -58,17 +58,20 @@ _DEFAULT_OPTIONS = {
 #: single pathological job cannot monopolize a pool slot indefinitely.
 MAX_OPS_CAP = 500_000_000
 
-#: Server-boundary ceiling for ``options["workers"]`` — real parallel
-#: execution spawns this many OS processes per job, so the cap bounds a
-#: request's process fan-out the same way :data:`MAX_OPS_CAP` bounds its
-#: op budget.
-MAX_WORKERS_CAP = 16
-
 #: Options that direct *how* a job is run (chaos directives), not *what*
 #: is computed.  They are excluded from the content address and from the
 #: options recorded in the artifact, so an injected job shares its cache
 #: key — and its artifact bytes — with its clean twin.
 NON_SEMANTIC_OPTIONS = ("fault",)
+
+
+#: Every request option a job reads, plus ``salt``: a nonce no job reads
+#: whose only effect is a fresh content key (a cache-busting repeat).
+#: Anything else is a 400 at the boundary, so a typo or a removed option
+#: never runs silently with the defaults under a new cache key.
+KNOWN_OPTIONS = ("engine", "machine", "use_liveness", "liveness_variant",
+                 "use_reductions", "assertions", "analysis_only",
+                 "max_ops", "deadline_s", "slice", "fault", "salt")
 
 
 def semantic_options(options: Dict) -> Dict:
@@ -81,9 +84,10 @@ def validate_options(options, *, allow_faults: bool = False) -> Optional[Dict]:
     """Validate and normalize request options at the service boundary.
 
     Raises :class:`ValueError` with a client-actionable message for bad
-    shapes/values; returns a sanitized copy (``max_ops`` coerced to int
-    and capped at :data:`MAX_OPS_CAP`, ``deadline_s`` coerced to float).
-    ``None`` passes through (defaults apply).
+    shapes/values and for names outside :data:`KNOWN_OPTIONS`; returns
+    a sanitized copy (``max_ops`` coerced to int and capped at
+    :data:`MAX_OPS_CAP`, ``deadline_s`` coerced to float).  ``None``
+    passes through (defaults apply).
 
     ``options["fault"]`` is rejected unless ``allow_faults`` is set —
     a production server that never enabled injection must 400 a chaos
@@ -97,6 +101,10 @@ def validate_options(options, *, allow_faults: bool = False) -> Optional[Dict]:
         return None
     if not isinstance(options, dict):
         raise ValueError("options must be a JSON object")
+    unknown = sorted(set(options) - set(KNOWN_OPTIONS))
+    if unknown:
+        raise ValueError(f"unknown option(s) {unknown}; known options: "
+                         f"{list(KNOWN_OPTIONS)}")
     out = dict(options)
     if out.get("fault"):
         if not allow_faults:
@@ -137,7 +145,7 @@ def validate_options(options, *, allow_faults: bool = False) -> Optional[Dict]:
             raise ValueError("deadline_s must be positive")
         out["deadline_s"] = deadline
     for name in ("use_liveness", "use_reductions", "assertions",
-                 "parallel_execute", "analysis_only"):
+                 "analysis_only"):
         if name in out:
             flag = out[name]
             if not isinstance(flag, (bool, int)):
@@ -149,21 +157,9 @@ def validate_options(options, *, allow_faults: bool = False) -> Optional[Dict]:
             raise ValueError(
                 f"unknown liveness_variant {out['liveness_variant']!r}; "
                 f"choose from {list(VARIANTS)}")
-    if "workers" in out:
-        try:
-            workers = int(out["workers"])
-        except (TypeError, ValueError):
-            raise ValueError("workers must be an integer") from None
-        if workers <= 0:
-            raise ValueError("workers must be positive")
-        out["workers"] = min(workers, MAX_WORKERS_CAP)
-    if out.get("analysis_only"):
-        if out.get("parallel_execute"):
-            raise ValueError("analysis_only jobs cannot request "
-                             "parallel_execute (no program run)")
-        if out.get("assertions"):
-            raise ValueError("analysis_only jobs cannot check "
-                             "assertions (no execution to compare)")
+    if out.get("analysis_only") and out.get("assertions"):
+        raise ValueError("analysis_only jobs cannot check "
+                         "assertions (no execution to compare)")
     if "slice" in out:
         val = out["slice"]
         if isinstance(val, str):
@@ -314,12 +310,6 @@ def execute_request(request: AnalysisRequest) -> Dict:
                              "warnings": list(o.warnings),
                              "errors": list(o.errors)} for o in checked]
 
-        parallel_run = None
-        if r.options.get("parallel_execute"):
-            workers = min(int(r.options.get("workers", 2)),
-                          MAX_WORKERS_CAP)
-            parallel_run = session.parallel_execute(workers=workers)
-
         slice_names = list(r.options.get("slice") or ())
         if "targets" in slice_names:
             slice_names.remove("targets")
@@ -328,20 +318,6 @@ def execute_request(request: AnalysisRequest) -> Dict:
             slice_names.extend(n for n in targets if n not in slice_names)
         with tracer.span("snapshot"):
             artifact = session_snapshot(session, slice_targets=slice_names)
-        if parallel_run is not None:
-            # wall times are nondeterministic, so the artifact records
-            # only the bit-stable facts of the real run
-            artifact["parallel_execution"] = {
-                "workers": parallel_run.workers,
-                "ops": parallel_run.ops,
-                "dispatches": parallel_run.dispatches,
-                "declined": parallel_run.declined,
-                "offloaded": parallel_run.offloaded,
-                "rejects": dict(parallel_run.rejects),
-                "outputs": [float(v) for v in parallel_run.outputs],
-                "matches_simulated":
-                    parallel_run.outputs == session.result.outputs,
-            }
         # Record semantic options only: the artifact must be bit-identical
         # to its clean twin's (they share a content key), so a transient
         # chaos directive must not leak into the cached payload.

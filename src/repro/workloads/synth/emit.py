@@ -143,10 +143,10 @@ def fuzz_program(ch: Chooser) -> str:
 
 
 def reduction_merge_program(ch: Chooser) -> str:
-    """Parallel loops dominated by reduction chains — the shapes whose
-    merge order the par_backend must replay bit-exactly: ``+ - *`` and
-    ``min``/``max`` spines over scalars, mixed with plain parallel
-    array writes."""
+    """Parallel loops dominated by reduction chains — shapes whose
+    result depends on the combination order to the last bit: ``+ - *``
+    and ``min``/``max`` spines over scalars, mixed with plain parallel
+    array writes (the plan oracle's reduction fuzz input)."""
     lines = []
     n_red = ch.randint(1, 3)
     operands = ["a(i)", "b(i)", "a(i) * b(i)", "0.5", "1.25",

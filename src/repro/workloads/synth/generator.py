@@ -63,8 +63,8 @@ SPECS: Dict[str, SynthSpec] = {
         SynthSpec("red-sp", ("red_sparse",), 1,
                   "sparse-indexed reduction (bdna scatter shape)"),
         SynthSpec("red-mm", ("red_minmax",), 1,
-                  "guarded IF-min/max reduction (plan-parallel, "
-                  "par_backend-rejected)"),
+                  "guarded IF-min/max reduction (plan-parallel; its arm "
+                  "runs order-dependently)"),
         SynthSpec("alias", ("alias_split",), 1,
                   "COMMON aliasing through split layouts"),
         SynthSpec("ind", ("indirect_chain", "stencil"), 1,

@@ -298,7 +298,7 @@ def test_service_slice_option_and_analysis_only():
 
 def test_service_option_validation():
     with pytest.raises(ValueError, match="analysis_only"):
-        validate_options({"analysis_only": True, "parallel_execute": True})
+        validate_options({"analysis_only": True, "assertions": True})
     with pytest.raises(ValueError, match="slice"):
         validate_options({"slice": [f"l{i}" for i in range(17)]})
     with pytest.raises(ValueError, match="slice"):

@@ -190,7 +190,8 @@ def test_fault_option_allowed_and_kind_checked_when_enabled():
 def test_http_rejects_bad_options_and_non_object_bodies():
     with AnalysisServer(inline=True) as server:
         for bad_opts in [{"max_ops": 0}, {"engine": "quantum"},
-                         {"deadline_s": -3}]:
+                         {"deadline_s": -3}, {"parallel_execute": True},
+                         {"use_livenes": False}]:
             status, out = _call(server, "POST", "/jobs",
                                 {"workload": "ora", "options": bad_opts})
             assert status == 400 and "error" in out

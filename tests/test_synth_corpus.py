@@ -9,10 +9,10 @@ Three contracts under test:
 2. **4-way parity at corpus scale** — over the pinned tier-1 slice
    (``REPRO_SYNTH_N`` programs, default 200; CI pins 50; soak runs use
    500+), every program produces bit-identical outputs and op counts on
-   the tree oracle, the transpiled engine, the simulated-multiprocessor
-   run (whose region measurements must also equal the oracle's), and
-   the 2-worker parallel protocol — and the tree run reproduces the
-   manifest's self-computed reference exactly.
+   the tree oracle, the transpiled engine and the simulated-multiprocessor
+   run (whose region measurements must also equal the oracle's); the
+   default plan passes the plan oracle; and the tree run
+   reproduces the manifest's self-computed reference exactly.
 3. **Lazy registration** — ``import repro.workloads`` neither imports
    the synth package nor generates anything; synth names resolve through
    ``workloads.get`` on demand; ``register_lazy`` materializes once.
@@ -29,7 +29,7 @@ from conftest import regions_state
 from repro.ir import build_program
 from repro.parallelize import Parallelizer
 from repro.runtime import ALPHASERVER_8400, ParallelExecutor, run_program
-from repro.runtime.par_backend import ParallelRunner
+from repro.runtime.plan_oracle import check_plan
 from repro.workloads import synth
 from repro.workloads.synth import generator as synth_generator
 
@@ -190,10 +190,12 @@ def test_mix_profile_draws_varied_sections():
 
 @pytest.mark.parametrize("name", SLICE)
 def test_four_way_parity(name):
-    """tree == transpiled == simulated run == 2-worker parallel
-    protocol, outputs and op counts; the tree run matches the
-    manifest's generation-time reference bit-exactly, and the simulated
-    run's region measurements match the cost observer on the oracle."""
+    """tree == transpiled == simulated run, outputs and op counts; the
+    tree run matches the manifest's generation-time reference
+    bit-exactly, the simulated run's region measurements match the cost
+    observer on the oracle, and the plan oracle finds no conflict, no
+    poisoned read and the tree run's outputs (relative 1e-9) and ops
+    (less the arms of guarded min/max updates)."""
     w = synth.from_name(name)
     ref = w.manifest["reference"]
     tree = run_program(build_program(w.source, w.name), engine="tree")
@@ -214,9 +216,8 @@ def test_four_way_parity(name):
         regions_state(sims["tree"]), name
     assert sims["transpiled"].account(8).par_ops == \
         sims["tree"].account(8).par_ops, name
-    par = ParallelRunner(tp, plan, workers=2, inline=True).execute(())
-    assert par.outputs == trans.outputs, name
-    assert par.ops == trans.ops, name
+    check = check_plan(tp, plan, reference=tree)
+    assert check.clean, (name, check.error, check.conflicts[:8])
 
 
 # -- lazy registration --------------------------------------------------------
