@@ -4,11 +4,10 @@
 Starts the HTTP server (2 shards) on an ephemeral port, submits a
 corpus job, polls it to completion, streams its progress events over
 SSE, fetches the artifact, re-submits to prove the cache serves the
-repeat, checks ``/metrics`` consistency — then spawns a **second
-server process** on the same cache directory and storms both with the
-same cold key to prove cross-process single-flight: the artifact is
-computed exactly once, and both servers hand back bit-identical
-bytes.  Exits non-zero on any failure::
+repeat and checks ``/metrics`` consistency.  (Cross-process
+single-flight is the tier-1 test
+``tests/test_service.py::test_two_process_single_flight_computes_exactly_once``.)
+Exits non-zero on any failure::
 
     PYTHONPATH=src python scripts/serve_smoke.py [--workload ora]
 
@@ -27,8 +26,6 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -39,18 +36,6 @@ from urllib.parse import urlsplit
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
-
-# a peer server process for the single-flight storm: same cache dir,
-# own pid, own pools — only the claim files coordinate the two
-CHILD_SERVER = """\
-import sys
-from repro.service import AnalysisServer
-srv = AnalysisServer(cache_dir=sys.argv[1], shards=2)
-srv.start()
-print(srv.url, flush=True)
-sys.stdin.read()                  # parent closes stdin to stop us
-srv.stop()
-"""
 
 
 def call(base: str, method: str, path: str, body=None, timeout=60):
@@ -194,53 +179,6 @@ def fault_smoke(args) -> int:
     return 0
 
 
-def single_flight_storm(base: str, cache_dir: str, workload: str,
-                        timeout: float) -> None:
-    """Spawn a second server *process* on the same cache directory and
-    hit both with the same cold key: the claim protocol must make
-    exactly one of them compute, and both must serve identical bytes."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + \
-        env.get("PYTHONPATH", "")
-    child = subprocess.Popen([sys.executable, "-c", CHILD_SERVER,
-                              cache_dir],
-                             stdin=subprocess.PIPE,
-                             stdout=subprocess.PIPE, env=env, text=True)
-    try:
-        peer = child.stdout.readline().strip()
-        expect(peer.startswith("http"),
-               f"child server failed to start: {peer!r}")
-        print(f"peer server up at {peer} (same cache dir)")
-        body = {"workload": workload,
-                "options": {"salt": "single-flight"}}
-        pre = call(base, "GET", "/metrics")[1]["counters"] \
-            .get("artifacts_computed", 0)
-        status1, out1 = call(base, "POST", "/jobs", body)
-        status2, out2 = call(peer, "POST", "/jobs", body)
-        expect(status1 == 202 and status2 == 202,
-               f"storm POSTs -> {status1}/{status2}")
-        job1 = poll(base, out1["job"], timeout)
-        job2 = poll(peer, out2["job"], timeout)
-        expect(job1["state"] == "done" and job2["state"] == "done",
-               f"storm jobs -> {job1['state']}/{job2['state']}")
-        expect(job1["key"] == job2["key"], "storm keys diverged")
-        art1 = call(base, "GET", f"/artifacts/{job1['key']}")[1]
-        art2 = call(peer, "GET", f"/artifacts/{job2['key']}")[1]
-        expect(art1 == art2, "servers returned different artifacts")
-        post = call(base, "GET", "/metrics")[1]["counters"] \
-            .get("artifacts_computed", 0)
-        peer_computed = call(peer, "GET", "/metrics")[1]["counters"] \
-            .get("artifacts_computed", 0)
-        computed = (post - pre) + peer_computed
-        expect(computed == 1,
-               f"same-key storm computed {computed} times, want 1")
-        print(f"single-flight ok: two processes, one computation, "
-              f"bit-identical artifacts")
-    finally:
-        child.stdin.close()
-        child.wait(timeout=30)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", default="ora",
@@ -362,11 +300,6 @@ def main(argv=None) -> int:
                    "unknown workload did not 400")
             expect(call(base, "GET", "/no/route")[0] == 404,
                    "unknown route did not 404")
-
-            # the tentpole contract: two server processes, one cache
-            # dir, one cold key — exactly one computation
-            single_flight_storm(base, cache_dir, args.workload,
-                                args.timeout)
 
             # every request above was answered: no connection handler
             # died on an unexpected exception

@@ -49,8 +49,10 @@ freshly built program on every hit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ir.callgraph import CallGraph
@@ -482,14 +484,17 @@ def _section_to_json(sec, ren: Dict[str, str]) -> List:
     return out
 
 
+#: coefficient text -> Fraction; a loaded summary repeats a few values
+_fraction = functools.lru_cache(maxsize=4096)(Fraction)
+
+
 def _section_from_json(data: List):
-    from fractions import Fraction
     from ..poly import Constraint, LinExpr, Section, System
     systems = []
     for rows in data:
         constraints = [
-            Constraint(LinExpr({v: Fraction(f) for v, f in coeffs},
-                               Fraction(const)), bool(eq))
+            Constraint(LinExpr({v: _fraction(f) for v, f in coeffs},
+                               _fraction(const)), bool(eq))
             for coeffs, const, eq in rows]
         systems.append(System(constraints))
     return Section(systems)
@@ -666,7 +671,9 @@ class IncrementalAnalyzer:
                 got = cached["hash"]
             else:
                 summary = self._lazy_parallelizer().dataflow.summary_of(name)
-                got = _sha(_canonical(summary_to_json(summary, name)))
+                # the walk's saver may have hashed it already
+                got = self._summary_hashes.get(name) or \
+                    _sha(_canonical(summary_to_json(summary, name)))
                 if hkey not in self.store:
                     self.store.put(hkey, {"hash": got})
             self._summary_hashes[name] = got

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..lang import ast_nodes as ast
-from ..lang.errors import BuildError
-from ..lang.parser import INTRINSICS, parse_source
+from ..lang.errors import BuildError, FrontEndError
+from ..lang.parser import INTRINSICS, parse_source, parse_units
 from .expressions import (ArrayRef, BinaryOp, Const, Expression, Intrinsic,
                           StrConst, UnaryOp, VarRef, fold_constants)
 from .program import Procedure, Program
@@ -34,16 +34,29 @@ def build_program(source: str, name: str = "program") -> Program:
     """Parse and lower mini-Fortran source text into a :class:`Program`."""
     from ..obs import get_tracer
     with get_tracer().span("build", program=name) as sp:
-        tree = parse_source(source, unit=name)
-        program = Program(name)
-        program.source_text = source
-        builder = _Builder(program)
-        for unit in tree.units:
-            builder.build_unit(unit)
-        builder.validate_calls()
+        units = parse_units(source, unit=name)
+        try:
+            program = _build(source, name, units)
+        except FrontEndError:
+            if not any(delta for _, delta in units):
+                raise
+            # a diagnostic names its line from the tree: rebuild on trees
+            # whose lines are the source's own
+            program = _build(source, name, [
+                (unit, 0) for unit in parse_source(source, name).units])
         sp.tag(procedures=len(program.procedures),
                loops=len(program.all_loops()))
         return program
+
+
+def _build(source: str, name: str, units) -> Program:
+    program = Program(name)
+    program.source_text = source
+    builder = _Builder(program)
+    for unit, delta in units:
+        builder.build_unit(unit, delta)
+    builder.validate_calls()
+    return program
 
 
 class _Builder:
@@ -52,7 +65,8 @@ class _Builder:
         self._call_sites: List[CallStmt] = []
 
     # -- units ---------------------------------------------------------------
-    def build_unit(self, unit: ast.Unit) -> None:
+    def build_unit(self, unit: ast.Unit, delta: int = 0) -> None:
+        """Lower one unit; ``delta`` is added to the tree's line numbers."""
         table = SymbolTable(unit.name)
         formals: List[Symbol] = []
         for pname in unit.params:
@@ -64,15 +78,15 @@ class _Builder:
         for decl in unit.decls:
             self._build_declaration(decl, table, common_names, unit.name)
 
-        lowerer = _StatementLowerer(self, table, unit.name)
+        lowerer = _StatementLowerer(self, table, unit.name, delta)
         body = lowerer.lower_block(unit.body)
 
-        last_line = unit.loc.line
+        first_line = last_line = unit.loc.line + delta
         for stmt in body.walk():
             last_line = max(last_line, stmt.line)
         proc = Procedure(unit.name, unit.kind, formals, table, body,
                          common_names,
-                         source_lines=range(unit.loc.line, last_line + 2))
+                         source_lines=range(first_line, last_line + 2))
         self._name_loops(proc)
         self.program.add_procedure(proc)
         self._call_sites.extend(proc.call_sites())
@@ -165,10 +179,12 @@ class _Builder:
 class _StatementLowerer:
     """Lower one unit's statement tree, eliminating GOTOs on the way."""
 
-    def __init__(self, builder: _Builder, table: SymbolTable, proc_name: str):
+    def __init__(self, builder: _Builder, table: SymbolTable, proc_name: str,
+                 delta: int = 0):
         self.builder = builder
         self.table = table
         self.proc_name = proc_name
+        self.delta = delta            # tree line -> source line
         self._loop_label_stack: List[int] = []
 
     # -- expressions -----------------------------------------------------------
@@ -239,11 +255,12 @@ class _StatementLowerer:
         Returns (handled, #ast-statements consumed)."""
         # Case 1: jump to an enclosing loop's terminating label -> CYCLE.
         if target in self._loop_label_stack:
-            cyc = CycleStmt(target_label=target, line=node.loc.line)
+            line = node.loc.line + self.delta
+            cyc = CycleStmt(target_label=target, line=line)
             if cond_ast is not None:
                 cond = self.lower_expr(cond_ast)
                 out.append(IfStmt([(cond, Block([cyc]))], None,
-                                  line=node.loc.line, label=node.label))
+                                  line=line, label=node.label))
             else:
                 cyc.label = node.label
                 out.append(cyc)
@@ -257,7 +274,8 @@ class _StatementLowerer:
                     skipped = self._lower_list(stmts[i + 1:j])
                     guard = UnaryOp("not", self.lower_expr(cond_ast))
                     out.append(IfStmt([(guard, Block(skipped))], None,
-                                      line=node.loc.line, label=node.label))
+                                      line=node.loc.line + self.delta,
+                                      label=node.label))
                     return True, j - i   # resume at the labeled statement
         raise BuildError(
             f"unsupported GOTO {target} at line {node.loc.line}: target is "
@@ -265,7 +283,7 @@ class _StatementLowerer:
             f"same statement list")
 
     def _lower_stmt(self, node: ast.Stmt) -> Statement:
-        line = node.loc.line
+        line = node.loc.line + self.delta
         label = node.label
         if isinstance(node, ast.Assign):
             target = self.lower_expr(node.target)

@@ -59,10 +59,13 @@ class Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
-def tokenize(source: str, unit: str = "<input>") -> List[Token]:
-    """Tokenize a whole source file into a flat token list."""
+def tokenize(source: str, unit: str = "<input>",
+             first_line: int = 1) -> List[Token]:
+    """Tokenize a whole source file into a flat token list; the first
+    line of ``source`` is numbered ``first_line``."""
     tokens: List[Token] = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    lines = source.splitlines()
+    for lineno, raw in enumerate(lines, start=first_line):
         line = raw.rstrip()
         if not line.strip():
             continue
@@ -78,7 +81,8 @@ def tokenize(source: str, unit: str = "<input>") -> List[Token]:
                 continue
         tokens.extend(_tokenize_line(line, lineno, unit))
         tokens.append(Token(NEWLINE, "\n", SourceLocation(lineno, len(line), unit)))
-    tokens.append(Token(EOF, None, SourceLocation(len(source.splitlines()) + 1, 0, unit)))
+    tokens.append(Token(EOF, None,
+                        SourceLocation(first_line + len(lines), 0, unit)))
     return tokens
 
 

@@ -13,10 +13,13 @@ supported because the paper's example codes use them:
 
 from __future__ import annotations
 
+import re
+import threading
+from collections import OrderedDict
 from typing import Callable, List, Optional, Tuple
 
 from . import ast_nodes as ast
-from .errors import ParseError, SourceLocation
+from .errors import FrontEndError, ParseError, SourceLocation
 from .lexer import (EOF, FLOAT, IDENT, INT, KW, LABEL, NEWLINE, OP, STRING,
                     Token, tokenize)
 
@@ -473,6 +476,14 @@ class Parser:
                          tok.loc)
 
 
+#: Parsed units keyed by (source unit name, unit text): see parse_units
+_UNITS: "OrderedDict[Tuple[str, str], Tuple[ast.Unit, int, int]]" = \
+    OrderedDict()
+_UNITS_CAPACITY = 256
+_UNITS_LOCK = threading.Lock()
+_UNIT_HEADER = re.compile(r"[ \t]*(?:program|subroutine)\b", re.IGNORECASE)
+
+
 def parse_source(text: str, unit: str = "<input>") -> ast.SourceFile:
     """Parse mini-Fortran source text into an AST."""
     from ..obs import get_tracer
@@ -481,3 +492,64 @@ def parse_source(text: str, unit: str = "<input>") -> ast.SourceFile:
         tree = Parser(tokens).parse_source()
         sp.tag(tokens=len(tokens), units=len(tree.units))
         return tree
+
+
+def parse_units(text: str,
+                unit: str = "<input>") -> List[Tuple[ast.Unit, int]]:
+    """The program units of ``text`` as ``(tree, delta)`` pairs: add
+    ``delta`` to a tree's line numbers to get the unit's lines in
+    ``text``.
+
+    Each unit's lines (its header up to the next header) are parsed on
+    their own and kept in a small LRU, so re-parsing an edited file lexes
+    and parses only the units whose text changed; a unit that moved comes
+    back unchanged with a nonzero ``delta``.  Trees are shared and must
+    not be mutated.  Source the per-unit split cannot parse is parsed
+    whole, so errors are those of :func:`parse_source`."""
+    from ..obs import get_tracer
+    with get_tracer().span("parse", unit=unit) as sp:
+        lines = text.splitlines()
+        starts = [i for i, line in enumerate(lines)
+                  if _UNIT_HEADER.match(line)]
+        bounds = [0] + starts[1:] + [len(lines)]
+        units: List[Tuple[ast.Unit, int]] = []
+        tokens, reused = 1, 0                           # 1: EOF
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                (tree, at, n), hit = _parse_unit_text(
+                    "\n".join(lines[lo:hi]), unit, lo + 1)
+                units.append((tree, lo + 1 - at))
+                tokens += n
+                reused += hit
+        except (FrontEndError, ValueError):         # ValueError: not 1 unit
+            toks = tokenize(text, unit)
+            units = [(u, 0) for u in Parser(toks).parse_source().units]
+            tokens, reused = len(toks), 0
+        sp.tag(tokens=tokens, units=len(units), reused=reused)
+        return units
+
+
+def _parse_unit_text(text: str, unit: str, first_line: int):
+    """((tree, the line it was parsed at, tokens), hit?) for one unit's
+    text, from the LRU when the same text was parsed before."""
+    key = (unit, text)
+    with _UNITS_LOCK:
+        got = _UNITS.get(key)
+        if got is not None:
+            _UNITS.move_to_end(key)
+            return got, True
+    toks = tokenize(text, unit, first_line)
+    (tree,) = Parser(toks).parse_source().units
+    got = (tree, first_line, len(toks) - 1)
+    with _UNITS_LOCK:
+        _UNITS[key] = got
+        while len(_UNITS) > _UNITS_CAPACITY:
+            _UNITS.popitem(last=False)
+    return got, False
+
+
+def reset_parse_cache() -> None:
+    """Forget every parsed unit (what a cold measurement wants)."""
+    with _UNITS_LOCK:
+        _UNITS.clear()
+

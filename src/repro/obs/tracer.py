@@ -14,8 +14,9 @@ Design contract
 * **Disabled tracing must be near-free.**  The default active tracer is
   :data:`NULL_TRACER`, whose :meth:`~NullTracer.span` returns one shared
   no-op context manager.  Instrumented code pays one thread-local read
-  and two no-op calls per *phase* (never per op / per iteration), which
-  is far below the < 5% ops/sec budget of ``scripts/perf_check.py``.
+  and two no-op calls per *phase* (never per op / per iteration).  The
+  only check is the in-suite canary in ``tests/test_obs.py``; an
+  overhead gate is ROADMAP item 2(c), still open.
 
 * **Tracing must never perturb results.**  Spans observe; they do not
   feed back.  ``tests/test_obs.py`` asserts byte-identical artifacts for

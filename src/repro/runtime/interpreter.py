@@ -331,8 +331,13 @@ class Interpreter:
                 else:
                     bound.append(view)
             elif isinstance(actual, VarRef) and not formal.is_array:
-                bound.append(frame.scalars.get(actual.symbol, 0))
-                copy_back.append((pos, actual.symbol))
+                sym = actual.symbol
+                if sym.is_common and not sym.is_array:
+                    # COMMON scalar: copy-in/out through its buffer cell
+                    bound.append(frame.arrays[sym].load([1]))
+                else:
+                    bound.append(frame.scalars.get(sym, 0))
+                copy_back.append((pos, sym))
             else:
                 bound.append(self._eval(actual, frame))
         callee_frame = self._make_frame(callee, bound)
@@ -348,8 +353,11 @@ class Interpreter:
                 value = callee_frame.scalars.get(formal, 0)
                 actual = call.args[pos]
                 if isinstance(actual, VarRef):
-                    frame.scalars[caller_sym] = self._coerce(caller_sym,
-                                                             value)
+                    if caller_sym.is_common and not caller_sym.is_array:
+                        frame.arrays[caller_sym].store([1], value)
+                    else:
+                        frame.scalars[caller_sym] = self._coerce(
+                            caller_sym, value)
                 elif isinstance(actual, ArrayRef) and actual.indices:
                     idx = [int(self._eval(e, frame)) for e in actual.indices]
                     frame.arrays[caller_sym].store(idx, value)

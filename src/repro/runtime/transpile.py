@@ -76,7 +76,7 @@ __all__ = [
 
 #: Bumped whenever generated-code layout or semantics change: cached
 #: modules (in-process and persistent) then miss instead of being reused.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 #: A variant is ``plain`` or instrumentation aspects joined by ``+`` in
 #: canonical order (``profile+dyndep+cost``): ``transpiled/<variant>``.
@@ -1338,10 +1338,17 @@ class _ProcEmitter:
                 continue
             if isinstance(actual, VarRef) and not formal.is_array:
                 sym = actual.symbol
-                if _buffer_backed(sym) or sym.is_const or sym.is_array:
+                if sym.is_const or sym.is_array:
                     # oracle: frame.scalars.get(sym, 0) -> 0, and the
                     # copy-out lands where the real storage shadows it
                     args.append(("0", False))
+                elif _buffer_backed(sym):
+                    # COMMON scalar: copy-in/copy-out through its buffer
+                    # cell, event-free like an array-element actual
+                    meta = self.arrays[id(sym)]
+                    cell = f"{meta.buf}[{meta.base}]"
+                    args.append((cell, True))
+                    cbs.append(f"{cell} = float(_r[{pos}])")
                 else:
                     coerce = "int" if sym.type == INT else "float"
                     args.append((f"v_{sym.name}", False))

@@ -10,6 +10,7 @@ The contract under test (ISSUE: incremental cone cache):
 * slices are demand-driven and keyed by the *down*-cone only.
 """
 
+import gc
 import json
 import threading
 import time
@@ -21,7 +22,9 @@ from repro.analysis.incremental import (ConeIndex, IncrementalAnalyzer,
                                         proc_source_segments,
                                         set_proc_store)
 from repro.ir import build_program
+from repro.lang.parser import reset_parse_cache
 from repro.obs import Tracer, activate
+from repro.runtime.transpile import reset_codegen_cache
 from repro.service.artifacts import ArtifactStore, canonical_json
 from repro.service.jobs import (AnalysisRequest, Job, execute_request,
                                 validate_options)
@@ -40,6 +43,14 @@ def _analyze(source, name, store, slice_names=()):
     program = build_program(source, name)
     analyzer = IncrementalAnalyzer(program, source, store=store)
     return analyzer.analysis_artifact(slice_names=slice_names)
+
+
+def _comment_edit(source, program, victim, comment="C edited"):
+    """Insert ``comment`` at the top of ``victim``: a content change
+    with identical semantics (every ⟨R,E,W,M⟩ summary stays bit-equal)."""
+    at = program.procedures[victim].source_lines.start
+    lines = source.splitlines()
+    return "\n".join(lines[:at] + [comment] + lines[at:])
 
 
 def _traced_analyze(source, name, store, slice_names=()):
@@ -94,17 +105,16 @@ def test_comment_edit_recomputes_only_the_cone(tmp_path):
     procedure that only sees the victim through its *down*-cone (callee
     summaries are value-hashed); what still recomputes is the victim
     itself plus procedures with the victim in their *after*-cone — the
-    liveness context is keyed by continuation sources."""
-    for name in ("mdg", "trfd", "ocean"):
+    liveness context is keyed by continuation sources.  A hot re-run
+    of the edited source then recomputes nothing."""
+    for name in ("mdg", "trfd", "ocean", "hydro", "hydro2d"):
         w = get(name)
         program = build_program(w.source, w.name)
         store = ArtifactStore(str(tmp_path / name))
         _analyze(w.source, w.name, store)
 
         victim = list(program.procedures)[-1]
-        at = program.procedures[victim].source_lines.start
-        lines = w.source.splitlines()
-        edited = "\n".join(lines[:at] + ["C edited"] + lines[at:])
+        edited = _comment_edit(w.source, program, victim)
         edited_program = build_program(edited, w.name)
 
         old_keys = IncrementalKeys(program, w.source)
@@ -124,6 +134,53 @@ def test_comment_edit_recomputes_only_the_cone(tmp_path):
         cold = _analyze(edited, w.name,
                         ArtifactStore(str(tmp_path / f"{name}-cold")))
         assert canonical_json(warm) == canonical_json(cold), name
+
+        hot, recomputed, _ = _traced_analyze(edited, w.name, store)
+        assert recomputed == set(), name
+        assert canonical_json(hot) == canonical_json(cold), name
+
+
+@pytest.mark.parametrize("name,victim", [
+    ("mdg", "initia"), ("flo88", "initw"), ("hydro2d", "start2d")])
+def test_warm_and_hot_reanalysis_are_10x_the_cold_pipeline(
+        tmp_path, name, victim):
+    """What the user waits for after an edit: the first re-analysis
+    after a comment edit to ``victim`` (warm) and a re-analysis of
+    unchanged source (hot) are each at least 10x faster than the cold
+    full pipeline (a whole job, codegen and parse memos emptied).  Each
+    of 5 rounds times the cold job, a new comment edit and its hot
+    re-run back to back, alternating whether the cold job runs first;
+    the median round's ratios must hold, so a drift in host speed moves
+    both sides.  The warm artifact is byte-identical to a cold one."""
+    def timed(fn, *args):
+        gc.collect()                 # each run pays for its own garbage
+        t0 = time.perf_counter()
+        out = fn(*args)
+        return time.perf_counter() - t0, out
+
+    def cold_job():
+        reset_codegen_cache()
+        reset_parse_cache()
+        return timed(execute_request, AnalysisRequest(name))[0]
+
+    w = get(name)
+    program = build_program(w.source, name)
+    store = ArtifactStore(str(tmp_path))
+    _analyze(w.source, name, store)
+    warm_x, hot_x = [], []
+    for i in range(5):
+        full_s = cold_job() if i % 2 == 0 else None
+        edited = _comment_edit(w.source, program, victim, f"C edit {i}")
+        warm_s, warm = timed(_analyze, edited, name, store)
+        hot_s = timed(_analyze, edited, name, store)[0]
+        full_s = full_s or cold_job()
+        warm_x.append(full_s / warm_s)
+        hot_x.append(full_s / hot_s)
+    cold = _analyze(edited, name, ArtifactStore(None))
+    assert canonical_json(warm) == canonical_json(cold)
+    warm_x, hot_x = sorted(warm_x)[2], sorted(hot_x)[2]     # medians
+    assert hot_x >= 10.0, hot_x
+    assert warm_x >= 10.0, warm_x
 
 
 # -- the cache-invalidation matrix --------------------------------------------
@@ -321,6 +378,8 @@ def test_service_option_validation():
     ("embar", {"use_reductions": False}),
     ("mdg", {"liveness_variant": "one_bit"}),
     ("flo88", {"liveness_variant": "flow_insensitive"}),
+    ("hydro", {}),
+    ("hydro2d", {}),
 ])
 def test_full_job_plans_with_its_options_and_cannot_poison_proc_store(
         tmp_path, workload, options):
@@ -329,21 +388,27 @@ def test_full_job_plans_with_its_options_and_cannot_poison_proc_store(
     so its rows — written into ``proc/`` under the option-bearing key —
     are the rows a cold ``analysis_only`` job computes: the follow-up
     ``analysis_only`` job is served entirely from the store and is
-    byte-equal to a store-less cold one."""
+    byte-equal to a store-less cold one.  With default options this is
+    the cross-path case: every procedure's rows are store hits."""
     static = AnalysisRequest(workload,
                              options=dict(options, analysis_only=True))
     cold = execute_request(static)                   # no store registered
-    default = execute_request(AnalysisRequest(
-        workload, options={"analysis_only": True}))
-    assert cold["plan"] != default["plan"]           # the option matters
+    if options:
+        default = execute_request(AnalysisRequest(
+            workload, options={"analysis_only": True}))
+        assert cold["plan"] != default["plan"]       # the option matters
     set_proc_store(ArtifactStore(str(tmp_path)))
     full = execute_request(AnalysisRequest(workload, options=options))
     assert canonical_json(full["plan"]) == canonical_json(cold["plan"])
     tracer = Tracer()
     with activate(tracer):
         warm = execute_request(static)
-    assert [s["tags"]["proc"] for s in tracer.to_dicts()
+    spans = tracer.to_dicts()
+    assert [s["tags"]["proc"] for s in spans
             if s["name"] == "incr.cone"] == []
+    assert {s["tags"]["proc"] for s in spans if s["name"] == "incr.reuse"
+            and s["tags"].get("kind") == "plan"} == \
+        set(get(workload).build().procedures)
     assert canonical_json(warm) == canonical_json(cold)
 
 

@@ -146,6 +146,18 @@ def test_scalar_copy_in_copy_out():
       m = m + 1
       END
 """) == [6]
+    # a COMMON scalar actual: the copy-out lands in the COMMON cell
+    assert outputs("""
+      PROGRAM t
+      COMMON /c/ x
+      x = 5.0
+      CALL s(x)
+      PRINT *, x
+      END
+      SUBROUTINE s(y)
+      y = y + 1.0
+      END
+""") == [6.0]
 
 
 def test_array_passed_by_reference():

@@ -552,7 +552,17 @@ def test_oracle_flags_wrong_dead_at_exit_verdict():
     """The scratch array ``w`` is read after the loop, so the planner
     privatizes it with last-value finalization; a plan that calls it
     dead at exit (plain ``private``) is wrong, and the poisoned cells
-    change the printed output."""
+    change the printed output.  So is the privatization hydro's user
+    asserts at vsetuv/85: ``dkrc(k1-1)`` is read before the iteration
+    writes it whenever ``klo(l) > 1``."""
+    from repro.parallelize.parallelizer import Assertion
+    prog, _, inputs, ref = _program("hydro")
+    plan = Parallelizer(prog, assertions=[
+        Assertion("vsetuv/85", "dkrc", "privatizable")]).plan()
+    assert plan.plan_by_name("vsetuv/85").parallel
+    check = check_plan(prog, plan, inputs, reference=ref)
+    assert check.poisoned_reads > 0 and not check.outputs_equal
+
     prog = build_program(LIVE_SRC, "live")
     plan = Parallelizer(prog).plan()
     lp = plan.plan_by_name("live/20")

@@ -149,3 +149,21 @@ def test_unexpected_token_raises():
 def test_empty_source_raises():
     with pytest.raises(ParseError):
         parse_source("")
+
+
+def test_reparse_after_an_edit_reuses_the_units_it_did_not_touch():
+    """A unit whose text is unchanged comes back as the memoized tree
+    with the line delta of its move; the built program carries the
+    lines of the edited text."""
+    from repro.ir import build_program
+    from repro.lang.parser import parse_units
+    src = ("      PROGRAM main\n      CALL foo(1.0)\n      END\n"
+           "      SUBROUTINE foo(a)\n      b = a\n      END\n")
+    edited = "C note\n" + src
+    (_, _), (foo, delta) = parse_units(src, "t")
+    units = parse_units(edited, "t")
+    assert units[1] == (foo, delta + 1) and units[0][1] == 0
+    assert parse_source(edited, "t").units[1].body[0].loc.line == 6
+    prog = build_program(edited, "t")
+    assert prog.procedures["foo"].source_lines.start == 5
+    assert prog.procedures["foo"].body.statements[0].line == 6

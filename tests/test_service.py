@@ -518,47 +518,80 @@ def test_live_remote_claim_parks_job_until_artifact_lands(tmp_path):
 
 
 def test_two_process_single_flight_computes_exactly_once(tmp_path):
-    """Two real server processes sharing one cache dir race on the same
-    key: the claim file must make exactly one of them compute, with
-    bit-identical artifacts served to both."""
+    """Two real server processes share one cache dir; 64 HTTP clients,
+    split between them, all ask for the same cold key at once.  The
+    claim file must make exactly one process compute it, and every
+    client must fetch byte-identical artifact bytes."""
+    import select
     import subprocess
     import sys
+    import threading
+    import time
+    import types
+    import urllib.request
     child = (
-        "import sys, json, hashlib\n"
-        "from repro.service import (ArtifactStore, ServiceMetrics,\n"
-        "                           BatchScheduler, AnalysisRequest,\n"
-        "                           canonical_json)\n"
-        "m = ServiceMetrics()\n"
-        "store = ArtifactStore(sys.argv[1], metrics=m)\n"
-        "with BatchScheduler(store, metrics=m, inline=True,\n"
-        "                    claim_poll_s=0.01) as sched:\n"
-        "    job = sched.submit(AnalysisRequest('ora'))\n"
-        "    assert sched.wait([job], timeout=180), 'timed out'\n"
-        "    art = sched.artifact(job)\n"
-        "print(json.dumps({\n"
-        "    'computed': m.snapshot()['counters']\n"
-        "        .get('artifacts_computed', 0),\n"
-        "    'state': job.state,\n"
-        "    'sha': hashlib.sha256(\n"
-        "        canonical_json(art).encode()).hexdigest(),\n"
-        "}))\n"
+        "import sys\n"
+        "from repro.service import AnalysisServer\n"
+        "srv = AnalysisServer(cache_dir=sys.argv[1], shards=2, inline=True)\n"
+        "srv.start()\n"
+        "print(srv.url, flush=True)\n"
+        "sys.stdin.read()\n"
+        "srv.stop()\n"
     )
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    procs = [subprocess.Popen([sys.executable, "-c", child,
-                               str(tmp_path)],
-                              stdout=subprocess.PIPE, env=env)
+    procs = [subprocess.Popen([sys.executable, "-c", child, str(tmp_path)],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              env=env, text=True)
              for _ in range(2)]
-    results = []
-    for proc in procs:
-        out, _ = proc.communicate(timeout=240)
-        assert proc.returncode == 0
-        results.append(json.loads(out))
-    assert all(r["state"] == "done" for r in results)
-    assert sum(r["computed"] for r in results) == 1  # exactly once
-    assert results[0]["sha"] == results[1]["sha"]    # bit-identical
+    responses, errors = [None] * 64, [None] * 64
+
+    def client(i):
+        server = servers[i % 2]
+        try:
+            job = _call(server, "POST", "/jobs",
+                        {"workload": "ora"})[1]["job"]
+            deadline = time.time() + 120
+            while job["state"] not in ("done", "failed") and \
+                    time.time() < deadline:
+                time.sleep(0.05)
+                job = _call(server, "GET", f"/jobs/{job['id']}")[1]["job"]
+            with urllib.request.urlopen(
+                    f"{server.url}/artifacts/{job['key']}",
+                    timeout=60) as resp:
+                responses[i] = resp.read()
+        except Exception as exc:            # shown by the assertion below
+            errors[i] = repr(exc)
+
+    try:
+        servers = []
+        for proc in procs:
+            ready = select.select([proc.stdout], [], [], 60)[0]
+            url = proc.stdout.readline().strip() if ready else ""
+            assert url and proc.poll() is None, "a server did not start"
+            servers.append(types.SimpleNamespace(url=url))
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(len(responses))]
+        for t in threads:
+            t.start()
+        end = time.time() + 300
+        for t in threads:
+            t.join(max(0.0, end - time.time()))
+        computed = sum(_call(server, "GET", "/metrics")[1]["counters"]
+                       .get("artifacts_computed", 0) for server in servers)
+    finally:
+        for proc in procs:
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+    assert None not in responses and len(set(responses)) == 1, \
+        sorted({e for e in errors if e})
+    assert computed == 1                                # exactly once
 
 
 # -- admission control --------------------------------------------------------

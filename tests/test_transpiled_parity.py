@@ -63,7 +63,10 @@ ASPECT_SETS = [c for n in (1, 2, 3)
 #: ``transpile_to_python(program, variant)`` per corpus program and
 #: single-aspect variant, and ``assert_artifact_sha256`` of
 #: ``canonical_json(execute_request(AnalysisRequest(name, options=
-#: {"slice": ["targets"], "assertions": True})))``.  Regenerate both from
+#: {"slice": ["targets"], "assertions": True})))``.  ``sha256`` was
+#: regenerated at ``CODEGEN_VERSION`` 3 (COMMON scalar actuals passed by
+#: reference), whose modules differ from v2's only in the version number
+#: of their header line.  Regenerate both from
 #: a trusted commit with exactly those expressions when generated text
 #: (bump ``CODEGEN_VERSION``) or the artifact schema changes on purpose.
 with open(os.path.join(os.path.dirname(__file__),
@@ -344,12 +347,44 @@ def test_simulated_regions_match_on_early_loop_exit(src):
         regions_state(runs["tree"])
 
 
-@pytest.mark.parametrize("src", [EXIT_SRC, STOP_SRC],
-                         ids=["exit", "stop"])
+#: a COMMON scalar actual bound to a scalar formal: copy-in/copy-out
+#: through the COMMON cell (prints 8.0, 16)
+COMMON_ARG_SRC = """
+      PROGRAM t
+      COMMON /c/ x, n
+      x = 5.0
+      n = 2
+      DO 10 i = 1, 3
+        CALL s(x, n)
+10    CONTINUE
+      PRINT *, x, n
+      END
+      SUBROUTINE s(y, m)
+      y = y + 1.0
+      m = m * 2
+      END
+"""
+
+
+@pytest.mark.parametrize("src", [EXIT_SRC, STOP_SRC, COMMON_ARG_SRC],
+                         ids=["exit", "stop", "common-arg"])
 def test_fused_run_matches_on_early_loop_exit(src):
     prog = build_program(src)
     _assert_aspect_sets_match_oracle(prog, (), EveryLoopParallel(prog),
-                                     None, [ASPECTS])
+                                     None)
+
+
+def test_by_reference_scalar_actual_is_invisible_to_dyndep():
+    """Pins a known blind spot (a FOUND line in CHANGES.md): the
+    copy-in/copy-out of a scalar formal's actual raises no access
+    events on either engine, so without a reduction skip set the
+    dependence COMMON_ARG_SRC's loop carries through ``x`` and ``n``
+    is not observed.  Flip this when the events land."""
+    prog = build_program(COMMON_ARG_SRC)
+    loop = prog.procedures["t"].loops()[0]
+    for engine in ("tree", "transpiled"):
+        dd = analyze_dependences(prog, engine=engine)
+        assert not dd.has_carried_dependence(loop), engine
 
 
 # -- budget enforcement -------------------------------------------------------
